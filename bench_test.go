@@ -1272,9 +1272,9 @@ func BenchmarkReplayDrain(b *testing.B) {
 // --- Web gateway fan-out ----------------------------------------------------
 
 // BenchmarkWebFanout measures the web gateway's per-tuple fan-out cost on
-// both live lanes: sse-json (the JSON pump behind GET /v1/stream) and
-// ws-binary (raw v3 passthrough in WebSocket binary messages behind GET
-// /v1/ws?format=binary). Tuples are injected in read-chunk-sized batches
+// both live lanes: sse-json (the hub's JSON events behind GET /v1/stream)
+// and ws-binary (the hub's v3 stream in WebSocket binary messages behind
+// GET /v1/ws?format=binary). Tuples are injected in read-chunk-sized batches
 // on the loop goroutine — the realistic ingest shape — and browser
 // stand-ins drain real TCP sockets. ns/op is per injected tuple.
 func BenchmarkWebFanout(b *testing.B) {
@@ -1371,16 +1371,14 @@ func benchWebFanout(b *testing.B, request string, clients int) {
 		loop.Invoke(inject)
 		<-injected
 	}
-	// First the hub side: every injected tuple encoded and written into
-	// the gateway pipes (the hub writer works in bursts, so byte-count
-	// stability alone would false-trigger between bursts).
+	// First the hub side: every injected tuple encoded and written to the
+	// client sockets (the writers work in bursts, so byte-count stability
+	// alone would false-trigger between bursts).
 	for !srv.SubscribersFlushed() {
 		time.Sleep(50 * time.Microsecond)
 	}
-	// Wait until the gateway has written everything it is going to write:
-	// the drained byte count holding still across several polls after the
-	// last injection means the queues and pipes are empty (the web lane
-	// has no SubscribersFlushed analogue — the sockets are the truth).
+	// Then the readers: the drained byte count holding still across
+	// several polls means they have read everything written.
 	last := drained.Load()
 	for quiet := 0; quiet < 5; {
 		time.Sleep(2 * time.Millisecond)
@@ -1391,7 +1389,9 @@ func benchWebFanout(b *testing.B, request string, clients int) {
 		}
 	}
 	b.StopTimer()
-	_, _, _, dropped := srv.SubscriberStats()
+	var fs netscope.FanoutStats
+	loop.Invoke(func() { fs = srv.FanoutStats(); injected <- struct{}{} })
+	<-injected
 	b.ReportMetric(float64(last)/float64(b.N), "bytes/tuple")
-	b.ReportMetric(float64(dropped), "hub-dropped")
+	b.ReportMetric(float64(fs.Dropped+fs.WebDropped), "hub-dropped")
 }

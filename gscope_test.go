@@ -337,7 +337,10 @@ func TestSubscribeNetV2Facade(t *testing.T) {
 	if gain.Load() != 10 {
 		t.Fatalf("gain = %d, want 10 (clamped)", gain.Load())
 	}
-	if st := srv.FanoutStats(); st.Filtered == 0 {
+	// Hub state is loop-owned; read the stats there.
+	stats := make(chan FanoutStats, 1)
+	loop.Invoke(func() { stats <- srv.FanoutStats() })
+	if st := <-stats; st.Filtered == 0 {
 		t.Fatal("fan-out stats show no filtering")
 	}
 }

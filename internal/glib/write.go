@@ -8,14 +8,22 @@ import (
 
 // The read-side watches in io.go emulate G_IO_IN. WriteWatch is the G_IO_OUT
 // counterpart for connections the loop writes to (the netscope hub's
-// subscribers): callers on the loop goroutine enqueue chunks without ever
-// blocking, a per-watch goroutine performs the blocking writes, and the
-// queue is bounded with a drop-oldest policy so one stalled peer can only
-// lose its own data — it can never stall the loop or other peers.
+// subscribers, TCP viewers and web streams alike): callers enqueue chunks
+// without ever blocking — from the loop goroutine or any other — a
+// per-watch goroutine performs the blocking writes, and the queue is
+// bounded with a drop-oldest policy so one stalled peer can only lose its
+// own data — it can never stall the loop or other peers.
 
 // DefaultWriteQueueLimit bounds a WriteWatch's queue when the caller passes
 // a non-positive limit.
 const DefaultWriteQueueLimit = 1024
+
+// coalesceBufs recycles the buffers writers coalesce a backlog into, so
+// a steady backlog costs no allocation and an idle watch holds no buffer.
+// Buffers grown past maxPooledCoalesce are left to the collector.
+var coalesceBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledCoalesce = 1 << 20
 
 // WriteErrFunc is invoked once, on the loop goroutine, when a watched
 // writer fails. The watch is already canceled when it runs; it is not
@@ -32,10 +40,13 @@ type WriteWatch struct {
 
 	mu sync.Mutex
 	//gscope:guardedby mu
-	queue [][]byte
-	// protected counts leading queue chunks exempt from drop-oldest.
+	queue []queued
+	// protected counts the queued chunks exempt from drop-oldest,
+	// wherever they sit.
 	//gscope:guardedby mu
 	protected int
+	// closed refuses further sends. Cancel and a failed write also empty
+	// the queue; Finish leaves it for the writer to drain.
 	//gscope:guardedby mu
 	closed bool
 
@@ -53,6 +64,12 @@ type WriteWatch struct {
 	enqueued atomic.Int64
 	written  atomic.Int64
 	droppedB atomic.Int64
+}
+
+// queued is one chunk awaiting the writer.
+type queued struct {
+	chunk     []byte
+	protected bool
 }
 
 // WatchWriter starts a write watch on w. limit bounds the queue in chunks
@@ -81,18 +98,16 @@ func (l *Loop) WatchWriter(w io.Writer, limit int, onErr WriteErrFunc) *WriteWat
 // tuple line across every subscriber's watch). When the queue is full the
 // oldest queued chunks are dropped — never the loop blocked — and the drop
 // counter advances. Send reports false once the watch has failed or been
-// canceled.
+// canceled or finished.
 //
 //gscope:hotpath
 func (ww *WriteWatch) Send(chunk []byte) bool { return ww.send(chunk, false) }
 
 // SendProtected enqueues a chunk that is exempt from the drop-oldest
-// policy: it counts toward the bound but is never evicted (protocol
-// handshakes must reach the peer or the whole stream is unframed).
-// Protection applies only while the queue holds nothing but protected
-// chunks — i.e. to handshake chunks sent before any regular traffic,
-// which is the only place FIFO order and protection can coexist; later
-// calls behave like Send. Protected chunks are capped at the queue limit:
+// policy wherever it sits in the queue: it keeps its FIFO place among the
+// regular chunks and counts toward the bound, but is never evicted
+// (handshakes, acks and keepalive replies must reach the peer or the
+// stream is unframed). Protected chunks are capped at the queue limit:
 // once the queue is protected chunks to the bound, nothing is evictable,
 // so the incoming chunk is the one dropped (and counted) — the bound holds
 // even for a caller that protects everything.
@@ -111,16 +126,7 @@ func (ww *WriteWatch) send(chunk []byte, protect bool) bool {
 		return false
 	}
 	for len(ww.queue) >= ww.limit && len(ww.queue) > ww.protected {
-		var evicted []byte
-		if ww.protected > 0 {
-			evicted = ww.queue[ww.protected]
-			ww.queue = append(ww.queue[:ww.protected], ww.queue[ww.protected+1:]...)
-		} else {
-			evicted = ww.queue[0]
-			ww.queue = ww.queue[1:]
-		}
-		ww.dropped.Add(1)
-		ww.droppedB.Add(int64(len(evicted)))
+		ww.evictLocked()
 	}
 	if len(ww.queue) >= ww.limit {
 		// Everything resident is protected: the eviction loop could not
@@ -134,17 +140,33 @@ func (ww *WriteWatch) send(chunk []byte, protect bool) bool {
 		ww.mu.Unlock()
 		return true
 	}
-	if protect && len(ww.queue) == ww.protected {
+	if protect {
 		ww.protected++
 	}
-	ww.queue = append(ww.queue, chunk)
+	ww.queue = append(ww.queue, queued{chunk: chunk, protected: protect})
 	ww.enqueued.Add(int64(len(chunk)))
 	ww.mu.Unlock()
-	select {
-	case ww.kick <- struct{}{}:
-	default:
-	}
+	ww.wake()
 	return true
+}
+
+// evictLocked drops the oldest unprotected chunk; the caller holds mu and
+// has checked that one exists.
+//
+//gscope:hotpath
+func (ww *WriteWatch) evictLocked() {
+	i := 0
+	for ww.queue[i].protected {
+		i++
+	}
+	evicted := ww.queue[i].chunk
+	if i == 0 {
+		ww.queue = ww.queue[1:]
+	} else {
+		ww.queue = append(ww.queue[:i], ww.queue[i+1:]...)
+	}
+	ww.dropped.Add(1)
+	ww.droppedB.Add(int64(len(evicted)))
 }
 
 // Queued returns the number of chunks waiting to be written.
@@ -186,17 +208,36 @@ func (ww *WriteWatch) Err() error {
 // Cancel stops the watch: queued chunks are discarded (counted as dropped
 // bytes, so Flushed stays meaningful) and no error callback will run. A
 // write already in progress is not interrupted — close the underlying
-// connection to unblock it, as with read watches.
+// connection to unblock it, as with read watches. Cancel also preempts a
+// Finish drain.
 func (ww *WriteWatch) Cancel() {
 	ww.canceled.Store(true)
 	ww.mu.Lock()
 	ww.closed = true
-	for _, c := range ww.queue {
-		ww.droppedB.Add(int64(len(c)))
+	for _, q := range ww.queue {
+		ww.droppedB.Add(int64(len(q.chunk)))
 	}
 	ww.queue = nil
 	ww.protected = 0
 	ww.mu.Unlock()
+	ww.wake()
+}
+
+// Finish refuses further sends and lets the writer drain what is already
+// queued, then exit (Done closes) — a close frame queued before Finish
+// still reaches the peer. The drain lasts as long as the writes do; Cancel
+// preempts it and discards the rest.
+func (ww *WriteWatch) Finish() {
+	ww.mu.Lock()
+	ww.closed = true
+	ww.mu.Unlock()
+	ww.wake()
+}
+
+// wake nudges the writer goroutine without blocking.
+//
+//gscope:hotpath
+func (ww *WriteWatch) wake() {
 	select {
 	case ww.kick <- struct{}{}:
 	default:
@@ -208,31 +249,56 @@ func (ww *WriteWatch) Done() <-chan struct{} { return ww.done }
 
 func (ww *WriteWatch) writer() {
 	defer close(ww.done)
+	// The queue ping-pongs between two backing arrays: senders fill one
+	// while the writer drains the other, so a steady stream costs no
+	// queue growth.
+	var spare []queued
 	for {
 		ww.mu.Lock()
 		batch := ww.queue
-		ww.queue = nil
+		ww.queue, spare = spare[:0], batch
 		ww.protected = 0
 		closed := ww.closed
 		ww.mu.Unlock()
 
 		if len(batch) > 0 {
-			buf := make([]byte, 0, 64*len(batch))
-			for _, c := range batch {
-				buf = append(buf, c...)
+			// One write per wake-up: a lone chunk goes out as is, several
+			// are coalesced into a pooled buffer.
+			buf := batch[0].chunk
+			var pooled *[]byte
+			if len(batch) > 1 {
+				n := 0
+				for _, q := range batch {
+					n += len(q.chunk)
+				}
+				pooled = coalesceBufs.Get().(*[]byte)
+				if cap(*pooled) < n {
+					*pooled = make([]byte, 0, n)
+				}
+				buf = (*pooled)[:0]
+				for _, q := range batch {
+					buf = append(buf, q.chunk...)
+				}
 			}
-			if _, err := ww.w.Write(buf); err != nil {
+			_, err := ww.w.Write(buf)
+			n := int64(len(buf))
+			if pooled != nil && cap(buf) <= maxPooledCoalesce {
+				*pooled = buf
+				coalesceBufs.Put(pooled)
+			}
+			if err != nil {
 				ww.errv.Store(err)
 				ww.mu.Lock()
 				ww.closed = true
 				// The failed batch and anything still queued will never
 				// be written; count them dropped so Flushed() (and its
 				// waiters) converge instead of spinning forever.
-				ww.droppedB.Add(int64(len(buf)))
-				for _, c := range ww.queue {
-					ww.droppedB.Add(int64(len(c)))
+				ww.droppedB.Add(n)
+				for _, q := range ww.queue {
+					ww.droppedB.Add(int64(len(q.chunk)))
 				}
 				ww.queue = nil
+				ww.protected = 0
 				ww.mu.Unlock()
 				if !ww.canceled.Swap(true) && ww.onErr != nil {
 					ww.loop.Invoke(func() { ww.onErr(err) })
@@ -240,7 +306,8 @@ func (ww *WriteWatch) writer() {
 				return
 			}
 			ww.sent.Add(int64(len(batch)))
-			ww.written.Add(int64(len(buf)))
+			ww.written.Add(n)
+			clear(batch) // the written chunks are the collector's now
 			continue
 		}
 		if closed {

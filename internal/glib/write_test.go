@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -66,6 +67,46 @@ func TestWriteWatchWritesInOrder(t *testing.T) {
 	}
 	if ww.Dropped() != 0 || ww.Queued() != 0 {
 		t.Fatalf("dropped=%d queued=%d", ww.Dropped(), ww.Queued())
+	}
+	ww.Cancel()
+	<-ww.Done()
+}
+
+// slowWriter takes a while over every Write, so sends pile up behind it.
+type slowWriter struct{ lockedBuffer }
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(50 * time.Microsecond)
+	return w.lockedBuffer.Write(p)
+}
+
+// TestWriteWatchStreamAcrossDrains runs a stream through many writer
+// wake-ups — backlogs coalesced behind a slow write, lone chunks, and
+// idle waits between bursts — while the queue's backing arrays trade
+// places between senders and writer; every chunk arrives once, in order.
+func TestWriteWatchStreamAcrossDrains(t *testing.T) {
+	loop := NewLoop(NewVirtualClock(time.Unix(0, 0)))
+	var w slowWriter
+	const n = 3000
+	ww := loop.WatchWriter(&w, n, nil)
+	var want bytes.Buffer
+	for i := 0; i < n; i++ {
+		chunk := []byte(strconv.Itoa(i) + "\n")
+		want.Write(chunk)
+		if !ww.Send(chunk) {
+			t.Fatal("send refused")
+		}
+		if i%500 == 499 {
+			waitFor(t, func() bool { return ww.Queued() == 0 })
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor(t, func() bool { return ww.Sent() == n })
+	if got := w.String(); got != want.String() {
+		t.Fatalf("stream differs: wrote %d bytes, want %d", len(got), want.Len())
+	}
+	if ww.Dropped() != 0 {
+		t.Fatalf("dropped %d", ww.Dropped())
 	}
 	ww.Cancel()
 	<-ww.Done()
@@ -264,4 +305,110 @@ func TestWriteWatchAllProtectedCappedAtLimit(t *testing.T) {
 	}
 	ww.Cancel()
 	<-ww.Done()
+}
+
+// wedged starts a watch whose writer is blocked inside its first write
+// ("head\n"), so later sends queue up behind it deterministically.
+func wedged(t *testing.T, limit int) (*WriteWatch, *gatedWriter) {
+	t.Helper()
+	loop := NewLoop(NewVirtualClock(time.Unix(0, 0)))
+	gw := &gatedWriter{release: make(chan struct{})}
+	ww := loop.WatchWriter(gw, limit, nil)
+	ww.Send([]byte("head\n"))
+	waitFor(t, func() bool { return ww.Queued() == 0 })
+	return ww, gw
+}
+
+func TestWriteWatchQueueDropOldest(t *testing.T) {
+	ww, gw := wedged(t, 2)
+	ww.Send([]byte("a\n"))
+	ww.Send([]byte("b\n"))
+	ww.Send([]byte("c\n"))
+	if ww.Dropped() != 1 || ww.DroppedBytes() != 2 {
+		t.Fatalf("dropped = %d chunks, %d bytes; want the oldest (a)", ww.Dropped(), ww.DroppedBytes())
+	}
+	close(gw.release)
+	waitFor(t, func() bool { return ww.Flushed() })
+	if got := gw.String(); got != "head\nb\nc\n" {
+		t.Fatalf("wrote %q", got)
+	}
+	ww.Cancel()
+	<-ww.Done()
+}
+
+// TestWriteWatchProtectedAnywhere: a protected chunk queued behind regular
+// traffic keeps its place and survives every eviction around it.
+func TestWriteWatchProtectedAnywhere(t *testing.T) {
+	ww, gw := wedged(t, 2)
+	ww.Send([]byte("a\n"))
+	ww.SendProtected([]byte("pong\n"))
+	// At the limit, each send evicts the oldest regular chunk, never the
+	// pong.
+	ww.Send([]byte("b\n"))
+	ww.Send([]byte("c\n"))
+	if ww.Queued() != 2 || ww.Dropped() != 2 {
+		t.Fatalf("queued=%d dropped=%d, want 2/2", ww.Queued(), ww.Dropped())
+	}
+	close(gw.release)
+	waitFor(t, func() bool { return ww.Flushed() })
+	if got := gw.String(); got != "head\npong\nc\n" {
+		t.Fatalf("wrote %q", got)
+	}
+	ww.Cancel()
+	<-ww.Done()
+}
+
+func TestWriteWatchCancelUnblocksWriter(t *testing.T) {
+	loop := NewLoop(NewVirtualClock(time.Unix(0, 0)))
+	var buf lockedBuffer
+	ww := loop.WatchWriter(&buf, 4, nil)
+	ww.Cancel() // the writer is idle, waiting for work
+	select {
+	case <-ww.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer did not exit on Cancel")
+	}
+	if ww.Send([]byte("x\n")) {
+		t.Fatal("send after Cancel accepted")
+	}
+	if buf.String() != "" {
+		t.Fatalf("wrote %q after Cancel", buf.String())
+	}
+}
+
+// TestWriteWatchFinishDrains: what is queued before Finish — a protected
+// close frame included — is written, later sends are refused and Done
+// closes; Cancel during the drain discards the rest.
+func TestWriteWatchFinishDrains(t *testing.T) {
+	ww, gw := wedged(t, 4)
+	ww.Send([]byte("data\n"))
+	ww.SendProtected([]byte("close\n"))
+	ww.Finish()
+	if ww.Send([]byte("late\n")) {
+		t.Fatal("send after Finish accepted")
+	}
+	close(gw.release)
+	select {
+	case <-ww.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer did not exit after draining")
+	}
+	if got := gw.String(); got != "head\ndata\nclose\n" {
+		t.Fatalf("wrote %q", got)
+	}
+
+	ww, gw = wedged(t, 4)
+	ww.Send([]byte("data\n"))
+	ww.SendProtected([]byte("close\n"))
+	ww.Finish()
+	ww.Cancel() // preempts the drain
+	close(gw.release)
+	<-ww.Done()
+	if got := gw.String(); got != "head\n" {
+		t.Fatalf("wrote %q after Cancel preempted the drain", got)
+	}
+	if !ww.Flushed() {
+		t.Fatalf("byte accounting unbalanced: enq=%d written=%d dropped=%d",
+			ww.EnqueuedBytes(), ww.WrittenBytes(), ww.DroppedBytes())
+	}
 }

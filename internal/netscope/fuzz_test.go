@@ -107,9 +107,9 @@ func refSubset(req SubscriptionRequest, batch []tuple.Tuple) []tuple.Tuple {
 	return out
 }
 
-// FuzzEncodeSubset: the hub's per-subscription encoder (same-name run
-// optimization and all) must agree tuple-for-tuple with the naive
-// reference, and its matched count with the reference's length. The
+// FuzzEncodeSubset: the hub's per-subscription filter and text encoder
+// (same-name run optimization and all) must agree tuple-for-tuple with the
+// naive reference, and its matched count with the reference's length. The
 // delivered stream is by construction a subsequence of the batch.
 func FuzzEncodeSubset(f *testing.F) {
 	f.Add([]byte{})
@@ -139,7 +139,9 @@ func FuzzEncodeSubset(f *testing.F) {
 		req.MaxRate = rates[src.Intn(len(rates))]
 
 		want := refSubset(req, batch)
-		chunk, matched := encodeSubset(compileSubscription(req), batch)
+		sub := &subscriber{sub: compileSubscription(req)}
+		kept := sub.passing(batch)
+		chunk, matched := (&Server{}).appendTuples(nil, sub, kept), len(kept)
 		if matched != len(want) {
 			t.Fatalf("matched=%d, reference kept %d (req %+v)", matched, len(want), req)
 		}

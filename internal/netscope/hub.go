@@ -99,11 +99,13 @@ const (
 	subLive
 )
 
-// subscriber is one downstream viewer connection.
+// subscriber is one downstream viewer: a TCP connection, or a Sink over
+// a writer the hub does not own (conn and rw nil).
 type subscriber struct {
 	conn net.Conn
 	ww   *glib.WriteWatch
 	rw   *glib.IOWatch // read side: v2 command channel, v1 disconnect probe
+	enc  Encoding
 
 	state   subState
 	counted bool          // reflected in hub.subscribes
@@ -130,22 +132,27 @@ type subscriber struct {
 	pendT    [][]tuple.Tuple
 	pendCmds []string
 
-	// v3 binary delivery (req.Wire == 3, docs/WIRE.md). A plain
-	// subscription shares the hub's broadcast encoder stream and benc
-	// stays nil; a filtered/decimated one gets its own encoder — its
-	// narrowed stream needs its own dictionary — plus a filter scratch.
+	// v3 binary delivery (docs/WIRE.md). A plain subscription shares the
+	// hub's broadcast encoder stream and benc stays nil; a
+	// filtered/decimated one gets its own encoder — its narrowed stream
+	// needs its own dictionary.
 	benc *tuple.BinaryEncoder
-	tmp  []tuple.Tuple
+	tmp  []tuple.Tuple // filter scratch
 }
 
-// binary reports whether the subscriber negotiated v3 binary delivery.
-func (sub *subscriber) binary() bool {
-	return sub.sub != nil && sub.sub.req.Wire == 3
+// binary reports whether the subscriber receives v3 binary frames.
+func (sub *subscriber) binary() bool { return sub.enc.binary() }
+
+// send queues a chunk built in the subscriber's encoding, sealed for its
+// transport; empty chunks are skipped.
+func (sub *subscriber) send(chunk []byte) {
+	if len(chunk) > 0 {
+		sub.ww.Send(sub.enc.seal(chunk))
+	}
 }
 
 // passing filters batch through the subscription (advancing its decimation
-// clock) into the reusable scratch — the binary counterpart of
-// encodeSubset's selection half.
+// clock) into the reusable scratch.
 func (sub *subscriber) passing(batch []tuple.Tuple) []tuple.Tuple {
 	sub.tmp = sub.tmp[:0]
 	for _, t := range batch {
@@ -196,7 +203,7 @@ type hubState struct {
 	ln  net.Listener
 	acc *glib.IOWatch
 
-	subs map[net.Conn]*subscriber
+	subs map[*subscriber]struct{}
 
 	history    []tuple.Tuple
 	newestMS   int64 // running max of retained-stream timestamps
@@ -216,9 +223,13 @@ type hubState struct {
 	backfill    map[string]*core.TimedHistory
 	backfillRet int
 
-	// shareMemo caches one encoded chunk per filter signature per
-	// broadcast, so many subscribers with the same filter pay one encode.
-	shareMemo map[string]*memoChunk
+	// plain and shareMemo cache the chunks of the batch being broadcast,
+	// one per encoding for unfiltered subscribers and one per (filter
+	// signature, encoding) for name-filtered ones, so all the subscribers
+	// of a pair share one encode. scratch stages JSON payloads.
+	plain     [numEncodings][]byte
+	shareMemo map[memoKey]memoChunk
+	scratch   []byte
 
 	// benc is the shared v3 broadcast encoder: all plain binary
 	// subscribers ride one encoded chunk per batch, sharing one dictionary
@@ -234,6 +245,12 @@ type hubState struct {
 	filtered     int64 // filter/decimation withholdings from departed subscribers
 }
 
+// memoKey names one shared filtered encoding of the current batch.
+type memoKey struct {
+	filter string
+	enc    Encoding
+}
+
 // memoChunk is one memoized filtered encoding of the current batch.
 type memoChunk struct {
 	chunk   []byte
@@ -241,10 +258,10 @@ type memoChunk struct {
 }
 
 // FanoutStats are the lifetime fan-out counters, including the v2 plane's
-// filter accounting. Dropped counts queue chunks lost to the drop-oldest
-// policy; Filtered counts tuples withheld from subscribers by their own
-// signal filters and rate decimation (bandwidth the v2 plane saved, not
-// data loss).
+// filter accounting. Dropped counts queue chunks TCP subscribers lost to
+// the drop-oldest policy (web streams count in WebDropped); Filtered
+// counts tuples withheld from subscribers by their own signal filters and
+// rate decimation (bandwidth the v2 plane saved, not data loss).
 type FanoutStats struct {
 	Subscribes   int64
 	Unsubscribes int64
@@ -264,9 +281,9 @@ type FanoutStats struct {
 	UDPLate      int64
 
 	// Web gateway lane aggregates (zero unless ListenWeb is active):
-	// currently connected SSE/WebSocket stream clients, events lost to
-	// their per-client drop-oldest queues, and payload bytes written to
-	// browsers.
+	// currently connected SSE/WebSocket stream clients, chunks lost to
+	// their drop-oldest queues (counted here, never in Dropped), and
+	// payload bytes written to browsers.
 	WebClients int64
 	WebDropped int64
 	WebBytes   int64
@@ -340,7 +357,7 @@ func (s *Server) Params() *core.ParamSet { return s.hub.params }
 
 func (s *Server) hubInit() {
 	if s.hub.subs == nil {
-		s.hub.subs = make(map[net.Conn]*subscriber)
+		s.hub.subs = make(map[*subscriber]struct{})
 	}
 	if !s.hub.windowSet {
 		s.hub.window = DefaultSnapshotWindow
@@ -388,17 +405,17 @@ func (s *Server) register(conn net.Conn, state subState) *subscriber {
 	s.hubInit()
 	sub := &subscriber{conn: conn, state: state}
 	sub.ww = s.loop.WatchWriter(conn, s.hub.queueLimit, func(error) {
-		s.unsubscribe(conn)
+		s.unsubscribe(sub)
 	})
 	sub.rw = s.loop.WatchLines(conn, func(line string, err error) bool {
 		if err != nil {
-			s.unsubscribe(conn)
+			s.unsubscribe(sub)
 			return false
 		}
-		s.subscriberLine(conn, line)
+		s.subscriberLine(sub, line)
 		return true
 	})
-	s.hub.subs[conn] = sub
+	s.hub.subs[sub] = struct{}{}
 	return sub
 }
 
@@ -411,7 +428,7 @@ func (s *Server) subscribeSniff(conn net.Conn) {
 	sub := s.register(conn, subSniffing)
 	sub.snap = s.snapshotChunk()
 	sub.grace = time.AfterFunc(s.hub.grace, func() {
-		s.loop.Invoke(func() { s.promoteV1(conn) })
+		s.loop.Invoke(func() { s.promoteV1(sub) })
 	})
 }
 
@@ -439,16 +456,14 @@ func (s *Server) SubscribeWith(conn net.Conn, req SubscriptionRequest) error {
 	if err := req.validate(); err != nil {
 		return err
 	}
-	sub := s.register(conn, subSniffing)
-	s.activateV2(conn, sub, req)
+	s.activateV2(s.register(conn, subSniffing), req)
 	return nil
 }
 
 // subscriberLine routes one inbound line according to the connection's
 // handshake state. Runs on the loop goroutine.
-func (s *Server) subscriberLine(conn net.Conn, line string) {
-	sub, ok := s.hub.subs[conn]
-	if !ok {
+func (s *Server) subscriberLine(sub *subscriber, line string) {
+	if _, ok := s.hub.subs[sub]; !ok {
 		return
 	}
 	switch sub.state {
@@ -457,17 +472,17 @@ func (s *Server) subscriberLine(conn net.Conn, line string) {
 		if !isV2 {
 			// Not a v2 handshake: a v1 client that happens to talk.
 			// Commit to v1 now; the line itself is ignored, as always.
-			s.promoteV1(conn)
+			s.promoteV1(sub)
 			return
 		}
 		if err != nil {
 			// A malformed v2 handshake gets an error frame and the v1
 			// stream — the closest thing to the pre-v2 contract.
 			s.sendError(sub, err.Error())
-			s.promoteV1(conn)
+			s.promoteV1(sub)
 			return
 		}
-		s.activateV2(conn, sub, req)
+		s.activateV2(sub, req)
 	case subBackfilling:
 		// Hold commands until the activation frames are queued, so
 		// replies can never overtake (or displace) the handshake —
@@ -490,7 +505,7 @@ func (s *Server) subscriberLine(conn net.Conn, line string) {
 					return
 				}
 				sub.lateUpgrade = true
-				s.activateV2(conn, sub, req)
+				s.activateV2(sub, req)
 			}
 			return
 		}
@@ -501,9 +516,8 @@ func (s *Server) subscriberLine(conn net.Conn, line string) {
 // promoteV1 commits a sniffing connection to the v1 protocol: the
 // accept-time snapshot, then every delta buffered while undecided, then
 // live traffic — byte-identical to a hub that never sniffed.
-func (s *Server) promoteV1(conn net.Conn) {
-	sub, ok := s.hub.subs[conn]
-	if !ok || sub.state != subSniffing {
+func (s *Server) promoteV1(sub *subscriber) {
+	if _, ok := s.hub.subs[sub]; !ok || sub.state != subSniffing {
 		return
 	}
 	if sub.grace != nil {
@@ -522,15 +536,18 @@ func (s *Server) promoteV1(conn net.Conn) {
 // activateV2 applies an accepted request. Requests needing the flight log
 // park the connection in subBackfilling and finish on the loop when the
 // read completes; everything else activates synchronously.
-func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequest) {
+func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 	if sub.grace != nil {
 		sub.grace.Stop()
 	}
 	sub.sub = compileSubscription(req)
 	sub.snap, sub.pend = nil, nil
+	if sub.enc == EncodeText && req.Wire == 3 {
+		sub.enc = EncodeV3
+	}
 
 	if req.Since == 0 || req.NoStream {
-		s.finishV2(conn, sub, 0, nil, "")
+		s.finishV2(sub, 0, nil, "")
 		return
 	}
 	if sub.lateUpgrade {
@@ -540,23 +557,23 @@ func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequ
 		// upgrades get an empty backfill frame instead — a client that
 		// wants the deep window reconnects, winning the handshake race it
 		// lost.
-		s.finishV2(conn, sub, s.resolveSince(req.Since), nil, "late-upgrade")
+		s.finishV2(sub, s.resolveSince(req.Since), nil, "late-upgrade")
 		return
 	}
 	if req.Since < 0 && !s.hub.newestSet {
 		// A trailing window has no anchor before the first live tuple:
 		// serve it empty rather than letting sinceMS=0 spill an attached
 		// flight log's entire (arbitrarily old) recorded history.
-		s.finishV2(conn, sub, 0, nil, "history")
+		s.finishV2(sub, 0, nil, "history")
 		return
 	}
 	sinceMS := s.resolveSince(req.Since)
 	if req.Cols > 0 && s.hub.backfill != nil {
-		s.finishV2(conn, sub, sinceMS, s.decimatedBackfill(sub.sub.filter, sinceMS, req.Cols), "decimated")
+		s.finishV2(sub, sinceMS, s.decimatedBackfill(sub.sub.filter, sinceMS, req.Cols), "decimated")
 		return
 	}
 	if s.historyCovers(sinceMS) || s.flightDir == "" {
-		s.finishV2(conn, sub, sinceMS, s.historyBackfill(sub.sub.filter, sinceMS), "history")
+		s.finishV2(sub, sinceMS, s.historyBackfill(sub.sub.filter, sinceMS), "history")
 		return
 	}
 	// The window predates the retained history: serve it from the flight
@@ -579,8 +596,7 @@ func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequ
 		}
 		backfill := readFlightBackfill(dir, sinceMS, cutoffMS, filter)
 		s.loop.Invoke(func() {
-			cur, ok := s.hub.subs[conn]
-			if !ok || cur != sub || sub.state != subBackfilling {
+			if _, ok := s.hub.subs[sub]; !ok || sub.state != subBackfilling {
 				return
 			}
 			if cutoffMS <= 0 && len(sub.pendT) > 0 && len(backfill) > 0 {
@@ -601,7 +617,7 @@ func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequ
 				}
 				backfill = kept
 			}
-			s.finishV2(conn, sub, sinceMS, backfill, "reclog")
+			s.finishV2(sub, sinceMS, backfill, "reclog")
 		})
 	}()
 }
@@ -609,14 +625,14 @@ func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequ
 // finishV2 queues the v2 activation frames — ack, then backfill or
 // filtered snapshot — flushes any buffered deltas and held commands, and
 // puts the connection live.
-func (s *Server) finishV2(conn net.Conn, sub *subscriber, sinceMS int64, backfill []tuple.Tuple, source string) {
+func (s *Server) finishV2(sub *subscriber, sinceMS int64, backfill []tuple.Tuple, source string) {
 	sub.state = subLive
 	if !sub.counted {
 		sub.counted = true
 		s.hub.subscribes++
 	}
-	req := sub.sub.req
-	b := tuple.AppendControl(nil, hubMagic, "2", strings.Join(req.fields(), " "))
+	req, enc := sub.sub.req, sub.enc
+	b := enc.appendControl(nil, hubMagic, "2", strings.Join(req.fields(), " "))
 	if sub.binary() && !req.NoStream {
 		if sub.sub.plain() {
 			// This connection will share the broadcast encoder's stream:
@@ -628,66 +644,65 @@ func (s *Server) finishV2(conn net.Conn, sub *subscriber, sinceMS int64, backfil
 			sub.benc = tuple.NewBinaryEncoder()
 		}
 	}
-	// Activation frames (backfill/snapshot/buffered deltas) encode per the
-	// negotiated wire version. The shared-stream case must not mutate the
-	// broadcast dictionary — an ID invented here would reach only this
-	// subscriber — so it encodes read-only, falling back to text lines for
-	// names the broadcast encoder has not bound yet (always legal, §B1).
-	appendTuples := func(dst []byte, ts []tuple.Tuple) []byte {
-		switch {
-		case !sub.binary():
-			return tuple.AppendWireBatch(dst, ts)
-		case sub.benc != nil:
-			return sub.benc.AppendBatch(dst, ts)
-		default:
-			return s.hub.benc.AppendBatchReadOnly(dst, ts)
-		}
-	}
 	switch {
 	case req.NoStream:
 		// Control plane only: no snapshot, no backfill, no deltas.
 	case source != "":
-		b = tuple.AppendControl(b, "backfill",
+		b = enc.appendControl(b, "backfill",
 			fmt.Sprintf("tuples=%d", len(backfill)),
 			fmt.Sprintf("since-ms=%d", sinceMS),
 			"source="+source)
-		b = appendTuples(b, backfill)
-		b = tuple.AppendControl(b, "backfill-end")
+		b = s.appendTuples(b, sub, backfill)
+		b = enc.appendControl(b, "backfill-end")
 	case sub.lateUpgrade:
 		// The connection already received the v1 snapshot before its
 		// handshake won through; re-serving it would duplicate data.
 	default:
 		// The v1 snapshot shape, narrowed to the subscription's signals.
 		snap := s.historyBackfill(sub.sub.filter, 0)
-		b = tuple.AppendControl(b, "snapshot",
+		b = enc.appendControl(b, "snapshot",
 			fmt.Sprintf("tuples=%d", len(snap)),
 			fmt.Sprintf("window-ms=%d", s.hub.window.Milliseconds()))
-		b = appendTuples(b, snap)
-		b = tuple.AppendControl(b, "snapshot-end")
+		b = s.appendTuples(b, sub, snap)
+		b = enc.appendControl(b, "snapshot-end")
 	}
-	sub.ww.SendProtected(b)
+	sub.ww.SendProtected(enc.seal(b))
 	if len(sub.pendT) > 0 && !req.NoStream {
 		var out []byte
 		for _, chunk := range sub.pendT {
-			if sub.binary() {
-				kept := sub.passing(chunk)
-				out = appendTuples(out, kept)
-				sub.filtered += int64(len(chunk) - len(kept))
-			} else {
-				enc, matched := encodeSubset(sub.sub, chunk)
-				out = append(out, enc...)
-				sub.filtered += int64(len(chunk) - matched)
-			}
+			kept := sub.passing(chunk)
+			out = s.appendTuples(out, sub, kept)
+			sub.filtered += int64(len(chunk) - len(kept))
 		}
-		if len(out) > 0 {
-			sub.ww.Send(out)
-		}
+		sub.send(out)
 	}
 	sub.pendT = nil
 	cmds := sub.pendCmds
 	sub.pendCmds = nil
 	for _, line := range cmds {
 		s.handleCommand(sub, line)
+	}
+}
+
+// appendTuples appends ts to dst in the subscriber's encoding (activation
+// frames, buffered deltas, narrowed broadcasts). A plain v3 subscriber
+// shares the broadcast encoder's stream, which must not be mutated here —
+// an ID invented for one subscriber would reach no other — so it encodes
+// read-only, falling back to text lines for names the broadcast encoder
+// has not bound yet (always legal, docs/WIRE.md §B1).
+func (s *Server) appendTuples(dst []byte, sub *subscriber, ts []tuple.Tuple) []byte {
+	switch {
+	case sub.enc.json():
+		if len(ts) == 0 {
+			return dst
+		}
+		return s.hub.appendBatchEvent(dst, sub.enc, ts)
+	case !sub.binary():
+		return tuple.AppendWireBatch(dst, ts)
+	case sub.benc != nil:
+		return sub.benc.AppendBatch(dst, ts)
+	default:
+		return s.hub.benc.AppendBatchReadOnly(dst, ts)
 	}
 }
 
@@ -802,36 +817,12 @@ func (s *Server) snapshotChunk() []byte {
 	return []byte(b.String())
 }
 
-// encodeSubset encodes the tuples of batch that pass the subscription
-// (advancing its decimation clock) into a fresh chunk. Names are cleaned
-// once per same-name run, not once per tuple — batches are overwhelmingly
-// runs of one signal, and deliverBatch already canonicalized them, so the
-// common case is a pointer-equal compare.
-func encodeSubset(sub *subscription, batch []tuple.Tuple) (chunk []byte, matched int) {
-	var out []byte
-	var prev, prevClean string
-	for _, t := range batch {
-		if !sub.passes(t) {
-			continue
-		}
-		if out == nil {
-			out = make([]byte, 0, 128)
-		}
-		if t.Name != prev {
-			prev, prevClean = t.Name, tuple.CleanName(t.Name)
-		}
-		out = tuple.AppendWirePrepared(out, t.Time, t.Value, prevClean)
-		matched++
-	}
-	return out, matched
-}
-
 // broadcastBatch retains a delivered batch in the snapshot history (and
 // the tiered backfill store, when enabled) and fans it out to every
-// subscriber. Unfiltered subscribers share a single wire-encoded chunk per
-// batch — one queue append, no per-tuple work — and filtered subscribers
-// get their own narrowed encoding, shared across subscribers with the same
-// filter. Runs on the loop goroutine as part of delivery.
+// subscriber. The batch is encoded once per (filter signature, encoding):
+// unfiltered subscribers share one chunk per encoding — one queue append
+// each, no per-tuple work — and name-filtered ones one per filter and
+// encoding. Runs on the loop goroutine as part of delivery.
 func (s *Server) broadcastBatch(batch []tuple.Tuple) {
 	if s.hub.subs == nil || len(batch) == 0 {
 		return
@@ -846,35 +837,10 @@ func (s *Server) broadcastBatch(batch []tuple.Tuple) {
 	if len(s.hub.subs) == 0 {
 		return
 	}
-	var shared []byte
-	sharedChunk := func() []byte {
-		if shared == nil {
-			shared = tuple.AppendWireBatch(make([]byte, 0, 24*len(batch)), batch)
-		}
-		return shared
-	}
-	// The binary counterpart: one v3-encoded chunk per batch, built at
-	// most once and shared by every plain binary subscriber. Encoding
-	// advances the hub encoder's dictionary even though only current
-	// sharers see the DICT frames — later joiners are caught up at
-	// activation (finishV2). Drop-oldest interacts with this: DATA-only
-	// chunks are self-contained (WIRE.md §B4) and drop silently like text,
-	// but a dropped chunk that carried a DICT binding leaves the
-	// subscriber unable to resolve that ID, and its decoder fails closed
-	// (§B7) — a stalled binary viewer reconnects rather than render a
-	// corrupt stream.
-	var sharedBin []byte
-	sharedBinChunk := func() []byte {
-		if sharedBin == nil {
-			sharedBin = s.hub.benc.AppendBatch(make([]byte, 0, 8*len(batch)), batch)
-		}
-		return sharedBin
-	}
-	memoCleared := false
-	for _, sub := range s.hub.subs {
+	for sub := range s.hub.subs {
 		switch {
 		case sub.state == subSniffing:
-			sub.bufferChunk(sharedChunk(), s.hub.queueLimit)
+			sub.bufferChunk(s.plainChunk(EncodeText, batch), s.hub.queueLimit)
 		case sub.state == subBackfilling:
 			sub.bufferTuples(batch, s.hub.queueLimit)
 		case sub.sub != nil && sub.sub.req.NoStream:
@@ -882,49 +848,83 @@ func (s *Server) broadcastBatch(batch []tuple.Tuple) {
 			// counting their withholdings as Filtered would make the
 			// decimation stat lie to operators.
 		case sub.sub == nil || sub.sub.plain():
-			if sub.binary() {
-				sub.ww.Send(sharedBinChunk())
-			} else {
-				sub.ww.Send(sharedChunk())
-			}
-		case sub.binary():
-			// Filtered/decimated binary subscribers own their encoder (and
-			// its dictionary), so the text share-memo cannot apply.
-			kept := sub.passing(batch)
-			if len(kept) > 0 {
-				sub.ww.Send(sub.benc.AppendBatch(make([]byte, 0, 8*len(kept)), kept))
-			}
-			sub.filtered += int64(len(batch) - len(kept))
+			sub.ww.Send(s.plainChunk(sub.enc, batch))
 		default:
-			if key := sub.sub.shareKey(); key != "" {
-				if !memoCleared {
-					memoCleared = true
-					if s.hub.shareMemo == nil {
-						s.hub.shareMemo = make(map[string]*memoChunk)
-					}
-					for k := range s.hub.shareMemo {
-						delete(s.hub.shareMemo, k)
-					}
-				}
-				entry := s.hub.shareMemo[key]
-				if entry == nil {
-					chunk, matched := encodeSubset(sub.sub, batch)
-					entry = &memoChunk{chunk: chunk, matched: matched}
-					s.hub.shareMemo[key] = entry
-				}
-				if len(entry.chunk) > 0 {
-					sub.ww.Send(entry.chunk)
-				}
-				sub.filtered += int64(len(batch) - entry.matched)
-				continue
-			}
-			chunk, matched := encodeSubset(sub.sub, batch)
-			if len(chunk) > 0 {
-				sub.ww.Send(chunk)
-			}
-			sub.filtered += int64(len(batch) - matched)
+			s.sendFiltered(sub, batch)
 		}
 	}
+	// The cached chunks are this batch's; the queues own them now.
+	s.hub.plain = [numEncodings][]byte{}
+	clear(s.hub.shareMemo)
+}
+
+// plainChunk returns the current batch's unfiltered chunk in enc, encoding
+// it on first use. Both v3 encodings ride the hub's broadcast encoder, so
+// the batch advances its dictionary once even though only current sharers
+// see the DICT frames — later joiners are caught up at activation
+// (finishV2). One encode serves both: the WebSocket chunk is the v3 chunk
+// behind a frame header written in place. Drop-oldest interacts with
+// this: DATA-only chunks are self-contained (WIRE.md §B4) and drop
+// silently like text, but a dropped chunk that carried a DICT binding
+// leaves the subscriber unable to resolve that ID, and its decoder fails
+// closed (§B7) — a stalled binary viewer reconnects rather than render a
+// corrupt stream.
+func (s *Server) plainChunk(enc Encoding, batch []tuple.Tuple) []byte {
+	c := &s.hub.plain[enc]
+	if *c == nil {
+		switch enc {
+		case EncodeText:
+			*c = tuple.AppendWireBatch(make([]byte, 0, 24*len(batch)), batch)
+		case EncodeV3, EncodeWSV3:
+			b := s.hub.benc.AppendBatch(make([]byte, wsHeaderRoom, wsHeaderRoom+8*len(batch)), batch)
+			s.hub.plain[EncodeV3] = EncodeV3.sealInPlace(b)
+			s.hub.plain[EncodeWSV3] = EncodeWSV3.sealInPlace(b)
+		default:
+			*c = s.hub.batchEvent(enc, batch)
+		}
+	}
+	return *c
+}
+
+// chunkFor encodes ts as a fresh chunk in sub's encoding, sealed for its
+// transport.
+func (s *Server) chunkFor(sub *subscriber, ts []tuple.Tuple) []byte {
+	if sub.enc.json() {
+		return s.hub.batchEvent(sub.enc, ts)
+	}
+	return sub.enc.sealInPlace(s.appendTuples(make([]byte, wsHeaderRoom, wsHeaderRoom+24*len(ts)), sub, ts))
+}
+
+// sendFiltered narrows batch through the subscription and queues what
+// passes. Name-only filters share one chunk per (signature, encoding)
+// through the memo; decimating subscriptions, and filtered v3 ones (each
+// owns its dictionary), encode their own.
+func (s *Server) sendFiltered(sub *subscriber, batch []tuple.Tuple) {
+	key := memoKey{filter: sub.sub.shareKey(), enc: sub.enc}
+	if key.filter == "" || sub.binary() {
+		kept := sub.passing(batch)
+		if len(kept) > 0 {
+			sub.ww.Send(s.chunkFor(sub, kept))
+		}
+		sub.filtered += int64(len(batch) - len(kept))
+		return
+	}
+	entry, ok := s.hub.shareMemo[key]
+	if !ok {
+		kept := sub.passing(batch)
+		entry.matched = len(kept)
+		if len(kept) > 0 {
+			entry.chunk = s.chunkFor(sub, kept)
+		}
+		if s.hub.shareMemo == nil {
+			s.hub.shareMemo = make(map[memoKey]memoChunk)
+		}
+		s.hub.shareMemo[key] = entry
+	}
+	if len(entry.chunk) > 0 {
+		sub.ww.Send(entry.chunk)
+	}
+	sub.filtered += int64(len(batch) - entry.matched)
 }
 
 // backfillRetain folds a batch into the per-signal tiered store.
@@ -1010,7 +1010,7 @@ func (s *Server) InjectBatch(batch []tuple.Tuple) {
 
 // sendError queues an error frame on a subscriber's stream.
 func (s *Server) sendError(sub *subscriber, msg string) {
-	sub.ww.Send(tuple.AppendControl(nil, "error", strings.ReplaceAll(msg, "\n", " ")))
+	sub.send(sub.enc.appendControl(nil, "error", strings.ReplaceAll(msg, "\n", " ")))
 }
 
 // handleCommand runs one inbound v2 command line. Runs on the loop.
@@ -1029,15 +1029,15 @@ func (s *Server) handleCommand(sub *subscriber, line string) {
 	}
 }
 
-// paramFrame renders one parameter as a reply/list frame. Parameters whose
-// names contain whitespace cannot cross the space-delimited framing and
-// are not addressable over the wire.
-func paramFrame(dst []byte, in core.ParamInfo) []byte {
+// paramFrame renders one parameter as a reply/list frame in enc.
+// Parameters whose names contain whitespace cannot cross the
+// space-delimited framing and are not addressable over the wire.
+func paramFrame(dst []byte, enc Encoding, in core.ParamInfo) []byte {
 	mode := "rw"
 	if in.ReadOnly {
 		mode = "ro"
 	}
-	return tuple.AppendControl(dst, "param", in.Name,
+	return enc.appendControl(dst, "param", in.Name,
 		tuple.FormatValue(in.Value),
 		"min="+tuple.FormatValue(in.Min),
 		"max="+tuple.FormatValue(in.Max),
@@ -1060,15 +1060,15 @@ func (s *Server) handleParamCommand(sub *subscriber, args []string) {
 	switch args[0] {
 	case "list":
 		infos := ps.Infos()
-		b := tuple.AppendControl(nil, "params", fmt.Sprintf("n=%d", len(infos)))
+		b := sub.enc.appendControl(nil, "params", fmt.Sprintf("n=%d", len(infos)))
 		for _, in := range infos {
 			if strings.ContainsAny(in.Name, " \t") {
 				continue // unaddressable over the space-delimited framing
 			}
-			b = paramFrame(b, in)
+			b = paramFrame(b, sub.enc, in)
 		}
-		b = tuple.AppendControl(b, "params-end")
-		sub.ww.Send(b)
+		b = sub.enc.appendControl(b, "params-end")
+		sub.send(b)
 	case "get":
 		if len(args) != 2 {
 			s.sendError(sub, "param get: need exactly one name")
@@ -1079,7 +1079,7 @@ func (s *Server) handleParamCommand(sub *subscriber, args []string) {
 			s.sendError(sub, err.Error())
 			return
 		}
-		sub.ww.Send(paramFrame(nil, in))
+		sub.send(paramFrame(nil, sub.enc, in))
 	case "set":
 		if len(args) != 3 {
 			s.sendError(sub, "param set: need a name and a value")
@@ -1102,7 +1102,7 @@ func (s *Server) handleParamCommand(sub *subscriber, args []string) {
 			s.sendError(sub, err.Error())
 			return
 		}
-		sub.ww.Send(tuple.AppendControl(nil, "param-ok", args[1], tuple.FormatValue(actual)))
+		sub.send(sub.enc.appendControl(nil, "param-ok", args[1], tuple.FormatValue(actual)))
 	default:
 		s.sendError(sub, "param: unknown subcommand "+args[0])
 	}
@@ -1114,44 +1114,52 @@ func (s *Server) broadcastParamChange(name string, v float64) {
 	if strings.ContainsAny(name, " \t") {
 		return
 	}
-	var frame []byte
-	for _, sub := range s.hub.subs {
+	var frames [numEncodings][]byte
+	for sub := range s.hub.subs {
 		if sub.state != subLive || sub.sub == nil {
 			continue
 		}
-		if frame == nil {
-			frame = tuple.AppendControl(nil, "param", name, tuple.FormatValue(v))
+		f := &frames[sub.enc]
+		if *f == nil {
+			*f = sub.enc.seal(sub.enc.appendControl(nil, "param", name, tuple.FormatValue(v)))
 		}
-		sub.ww.Send(frame)
+		if len(*f) > 0 {
+			sub.ww.Send(*f)
+		}
 	}
 }
 
 // --- Teardown and stats ----------------------------------------------------
 
-func (s *Server) unsubscribe(conn net.Conn) {
-	sub, ok := s.hub.subs[conn]
-	if !ok {
+func (s *Server) unsubscribe(sub *subscriber) {
+	if _, ok := s.hub.subs[sub]; !ok {
 		return
 	}
-	delete(s.hub.subs, conn)
+	delete(s.hub.subs, sub)
 	if sub.grace != nil {
 		sub.grace.Stop()
 	}
 	if sub.counted {
 		s.hub.unsubscribes++
 	}
-	s.hub.dropped += sub.ww.Dropped() + sub.pendDrop
+	if sub.enc.web() {
+		s.web.dropped.Add(sub.ww.Dropped() + sub.pendDrop)
+	} else {
+		s.hub.dropped += sub.ww.Dropped() + sub.pendDrop
+	}
 	s.hub.filtered += sub.filtered
 	sub.ww.Cancel()
-	sub.rw.Cancel()
-	conn.Close()
+	if sub.conn != nil {
+		sub.rw.Cancel()
+		sub.conn.Close()
+	}
 }
 
 // Subscribers returns the number of connected viewers whose handshake has
 // completed (sniffing and backfilling connections are still in flight).
 func (s *Server) Subscribers() int {
 	n := 0
-	for _, sub := range s.hub.subs {
+	for sub := range s.hub.subs {
 		if sub.state == subLive {
 			n++
 		}
@@ -1181,8 +1189,12 @@ func (s *Server) FanoutStats() FanoutStats {
 		Dropped:      s.hub.dropped,
 		Filtered:     s.hub.filtered,
 	}
-	for _, sub := range s.hub.subs {
-		st.Dropped += sub.ww.Dropped() + sub.pendDrop
+	for sub := range s.hub.subs {
+		if sub.enc.web() {
+			st.WebDropped += sub.ww.Dropped() + sub.pendDrop
+		} else {
+			st.Dropped += sub.ww.Dropped() + sub.pendDrop
+		}
 		st.Filtered += sub.filtered
 	}
 	if s.udpRecv != nil {
@@ -1195,7 +1207,7 @@ func (s *Server) FanoutStats() FanoutStats {
 		st.UDPLate = u.Late
 	}
 	st.WebClients = s.web.clients.Load()
-	st.WebDropped = s.web.dropped.Load()
+	st.WebDropped += s.web.dropped.Load()
 	st.WebBytes = s.web.bytes.Load()
 	return st
 }
@@ -1205,7 +1217,7 @@ func (s *Server) FanoutStats() FanoutStats {
 // flight on the socket; SubscriberWritten counts completed writes.
 func (s *Server) SubscriberBacklog() int {
 	n := 0
-	for _, sub := range s.hub.subs {
+	for sub := range s.hub.subs {
 		n += sub.ww.Queued() + len(sub.pend)
 	}
 	return n
@@ -1216,7 +1228,7 @@ func (s *Server) SubscriberBacklog() int {
 // connections.
 func (s *Server) SubscriberWritten() int64 {
 	var n int64
-	for _, sub := range s.hub.subs {
+	for sub := range s.hub.subs {
 		n += sub.ww.Sent()
 	}
 	return n
@@ -1227,7 +1239,7 @@ func (s *Server) SubscriberWritten() int64 {
 // benches and tests use to know the fan-out has fully drained. A
 // connection still mid-handshake with buffered deltas is not flushed.
 func (s *Server) SubscribersFlushed() bool {
-	for _, sub := range s.hub.subs {
+	for sub := range s.hub.subs {
 		if !sub.ww.Flushed() {
 			return false
 		}
@@ -1247,8 +1259,8 @@ func (s *Server) closeHub() error {
 	if s.hub.ln != nil {
 		err = s.hub.ln.Close()
 	}
-	for conn := range s.hub.subs {
-		s.unsubscribe(conn)
+	for sub := range s.hub.subs {
+		s.unsubscribe(sub)
 	}
 	if s.hub.paramsUnobserve != nil {
 		s.hub.paramsUnobserve()

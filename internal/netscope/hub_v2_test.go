@@ -1107,3 +1107,52 @@ func TestV2LateHandshakeSinceServesEmptyBackfill(t *testing.T) {
 		}
 	}
 }
+
+// TestV2LateUpgradeAckSurvivesStall: the ack a late-upgrading connection
+// is sent must survive drop-oldest even when regular traffic is already
+// queued ahead of it on a stalled viewer — without the ack the client
+// never learns its request applied.
+func TestV2LateUpgradeAckSurvivesStall(t *testing.T) {
+	loop := glib.NewLoop(glib.NewVirtualClock(time.Unix(7000, 0)), glib.WithGranularity(0))
+	srv := NewServer(loop)
+	srv.SetSubscriberQueueLimit(4)
+	t.Cleanup(func() { srv.Close() })
+
+	ours, theirs := net.Pipe()
+	defer ours.Close()
+	srv.Subscribe(theirs) // v1 and live; nobody reads ours yet
+	// The writer takes the snapshot and stalls inside the pipe write.
+	pump(t, loop, func() bool { return srv.SubscriberBacklog() == 0 })
+	srv.Inject(tuple.Tuple{Time: 10, Value: 1, Name: "s"}) // queued ahead of the ack
+
+	go ours.Write([]byte("gscope-sub 2\n")) //nolint:errcheck // the hub's read watch drains it
+	pump(t, loop, func() bool { return srv.SubscriberBacklog() == 2 })
+	const last = 20
+	for i := 11; i <= last; i++ { // more batches than the queue holds
+		srv.Inject(tuple.Tuple{Time: int64(i), Value: float64(i), Name: "s"})
+	}
+
+	var mu sync.Mutex
+	var lines []string
+	go func() {
+		sc := bufioScanner(ours)
+		for sc.Scan() {
+			mu.Lock()
+			lines = append(lines, sc.Text())
+			mu.Unlock()
+		}
+	}()
+	pump(t, loop, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(lines) > 0 && lines[len(lines)-1] == fmt.Sprintf("%d %d s", last, last)
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.HasPrefix(l, "# gscope-hub 2") {
+			return
+		}
+	}
+	t.Fatalf("the late upgrade's ack was evicted; the viewer read %q", lines)
+}

@@ -121,7 +121,10 @@
 // but can never block the loop, the publishers, or other subscribers. The
 // snapshot is enqueued as a single drop-exempt unit, so the bound can
 // neither tear it nor evict the protocol banner. Tuples withheld by v2
-// filters and decimation are counted in [Server.FanoutStats].
+// filters and decimation are counted in [Server.FanoutStats]. The web
+// gateway's browser streams are subscribers of the same kind, registered
+// with [Server.SubscribeSink] over the browser's own connection in a web
+// [Encoding].
 //
 // # Batching
 //
@@ -171,7 +174,6 @@ type Server struct {
 	// display delay. The recorder always stores the original stamps.
 	MapTime func(time.Duration) time.Duration
 
-	rec       *tuple.Writer
 	flight    *reclog.Log
 	flightDir string        // the recording directory, for v2 backfill reads
 	mapped    []tuple.Tuple // MapTime rebase scratch, reused across batches
@@ -245,10 +247,6 @@ func (s *Server) canonicalizeNames(batch []tuple.Tuple) {
 // Attach adds a scope whose feed will receive every tuple. BUFFER signals
 // on the scope pick out the names they display.
 func (s *Server) Attach(sc *core.Scope) { s.scopes = append(s.scopes, sc) }
-
-// SetRecorder mirrors every received tuple to w (the server-side recording
-// path); nil disables.
-func (s *Server) SetRecorder(w *tuple.Writer) { s.rec = w }
 
 // Record attaches a flight recorder: every delivered batch is appended to
 // a segmented reclog session under dir (see package repro/internal/reclog
@@ -364,11 +362,6 @@ func (s *Server) deliverBatch(batch []tuple.Tuple) {
 			s.OnTuple(t)
 		}
 	}
-	if s.rec != nil {
-		for _, t := range batch {
-			s.rec.Write(t) //nolint:errcheck // recorder errors surface on Flush
-		}
-	}
 	if s.flight != nil {
 		s.flight.Append(batch) // drop-safe; losses are counted in the log
 	}
@@ -402,7 +395,8 @@ func (s *Server) Stats() (connects, disconnects, received, parseErrors int64) {
 // Clients returns the number of currently connected clients.
 func (s *Server) Clients() int { return len(s.clients) }
 
-// Close stops accepting, disconnects all clients and flushes the recorder.
+// Close stops accepting, disconnects all clients and closes the flight
+// recorder.
 func (s *Server) Close() error {
 	if s.closed {
 		return nil
@@ -433,11 +427,6 @@ func (s *Server) Close() error {
 	}
 	if herr := s.closeHub(); err == nil {
 		err = herr
-	}
-	if s.rec != nil {
-		if ferr := s.rec.Flush(); err == nil {
-			err = ferr
-		}
 	}
 	if s.flight != nil {
 		if ferr := s.flight.Close(); err == nil {
@@ -566,6 +555,14 @@ func (c *Client) SetWireVersion(v int) error {
 	return nil
 }
 
+// writer drains the queue until Close: it takes everything queued and
+// ships it, ping-ponging the queue with the previously drained slice so a
+// steady-state publisher never allocates. Only the shipping differs by
+// transport. A datagram client hands the batch to its dgram.Publisher,
+// which retains its encoder, packet buffer and ring slots the way wbuf is
+// retained here; datagrams are stateless, so there is nothing to dial and
+// no write to fail. A stream client encodes and writes, redialing with
+// backoff in reconnect mode.
 func (c *Client) writer() {
 	defer close(c.done)
 	backoff := c.backoffMin
@@ -578,9 +575,8 @@ func (c *Client) writer() {
 		c.mu.Lock()
 		conn := c.conn
 		closed := c.closed
-		c.mu.Unlock()
-
-		if conn == nil {
+		if conn == nil && c.udp == nil {
+			c.mu.Unlock()
 			if closed {
 				return
 			}
@@ -611,7 +607,6 @@ func (c *Client) writer() {
 			continue
 		}
 
-		c.mu.Lock()
 		batch := c.queue
 		wire := c.wire
 		if len(batch) > 0 {
@@ -624,11 +619,14 @@ func (c *Client) writer() {
 			c.spare = nil
 		}
 		c.inflight = len(batch)
-		closed = c.closed
 		c.mu.Unlock()
 
 		if len(batch) > 0 {
-			if wire == 3 {
+			var err error
+			switch {
+			case c.udp != nil:
+				c.udp.Publish(batch)
+			case wire == 3:
 				if benc == nil {
 					benc = tuple.NewBinaryEncoder()
 				}
@@ -639,10 +637,12 @@ func (c *Client) writer() {
 					c.wbuf = append(c.wbuf, "# gscope-pub 3\n"...)
 				}
 				c.wbuf = benc.AppendBatch(c.wbuf, batch)
-			} else {
+				_, err = conn.Write(c.wbuf)
+			default:
 				c.wbuf = tuple.AppendWireBatch(c.wbuf[:0], batch)
+				_, err = conn.Write(c.wbuf)
 			}
-			if _, err := conn.Write(c.wbuf); err != nil {
+			if err != nil {
 				if c.reconnect {
 					conn.Close()
 					c.mu.Lock()

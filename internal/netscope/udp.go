@@ -33,43 +33,8 @@ func DialUDP(addr string) (*Client, error) {
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	go c.writerUDP()
+	go c.writer()
 	return c, nil
-}
-
-// writerUDP is the datagram twin of writer: same queue/spare ping-pong,
-// same zero-allocation steady state — the dgram publisher retains its
-// encoder, packet buffer and ring slots the way the stream writer
-// retains wbuf. No reconnect arm, no hello: datagrams are stateless.
-func (c *Client) writerUDP() {
-	defer close(c.done)
-	for {
-		c.mu.Lock()
-		batch := c.queue
-		if len(batch) > 0 {
-			c.queue = c.spare[:0]
-			c.spare = nil
-		}
-		c.inflight = len(batch)
-		closed := c.closed
-		c.mu.Unlock()
-
-		if len(batch) > 0 {
-			c.udp.Publish(batch)
-			c.mu.Lock()
-			c.sent += int64(len(batch))
-			c.inflight = 0
-			if c.spare == nil {
-				c.spare = batch[:0]
-			}
-			c.mu.Unlock()
-			continue
-		}
-		if closed {
-			return
-		}
-		<-c.kick
-	}
 }
 
 // UDPStats returns the datagram publisher's counters; ok is false for

@@ -145,12 +145,12 @@ func (s *Server) StreamNewest() (int64, bool) { return s.hub.newestMS, s.hub.new
 func (s *Server) BackfillEnabled() bool { return s.hub.backfill != nil }
 
 // WebCounters aggregates the web gateway lane's fan-out accounting.
-// The gateway's HTTP goroutines update it; FanoutStats and the -ansi
-// status line read it. All methods are safe from any goroutine.
+// The gateway's HTTP goroutines and the hub update it; FanoutStats and
+// the -ansi status line read it. All methods are safe from any goroutine.
 type WebCounters struct {
 	clients atomic.Int64 // currently connected stream clients
 	served  atomic.Int64 // lifetime stream clients
-	dropped atomic.Int64 // events lost to per-client drop-oldest queues
+	dropped atomic.Int64 // chunks departed web sinks lost to drop-oldest
 	bytes   atomic.Int64 // payload bytes written to browsers
 }
 
@@ -163,9 +163,6 @@ func (c *WebCounters) StreamOpen() { c.clients.Add(1); c.served.Add(1) }
 
 // StreamClose records a stream client departing.
 func (c *WebCounters) StreamClose() { c.clients.Add(-1) }
-
-// AddDropped records n events lost to a client's drop-oldest queue.
-func (c *WebCounters) AddDropped(n int64) { c.dropped.Add(n) }
 
 // AddBytes records n payload bytes written to a browser.
 func (c *WebCounters) AddBytes(n int64) { c.bytes.Add(n) }

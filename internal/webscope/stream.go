@@ -2,28 +2,31 @@ package webscope
 
 import (
 	"bufio"
+	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/netscope"
 	"repro/internal/tuple"
 )
 
-// The live-stream lanes. Each browser client becomes a real v2
-// subscriber: the gateway makes a net.Pipe, hands the hub one end via
-// Server.SubscribeWith (on the loop goroutine), and pumps the other end
-// — so filtering, decimation, snapshot/backfill and the
-// shared-encoding-per-filter-signature fan-out are all the hub's
-// existing machinery. On the browser side every client gets a bounded
-// drop-oldest eventQueue and a writer goroutine, mirroring the TCP
-// path's WriteWatch discipline: a stalled tab drops its own oldest
-// events and never blocks the hub or anyone else.
+// The live-stream lanes. Each browser client is an ordinary hub
+// subscriber: the gateway hands Server.SubscribeSink a writer over the
+// client's own transport — a flushing SSE response, or the hijacked
+// WebSocket connection — and the hub queues the client's stream on a
+// glib.WriteWatch over it, already in the lane's encoding. Filtering,
+// decimation, snapshot/backfill and the one-encode-per-(filter signature,
+// encoding) fan-out are the hub's own machinery, and the watch's bounded
+// drop-oldest queue means a stalled tab loses its own oldest chunks and
+// never blocks the hub or anyone else. A live client costs its handler
+// goroutine and the watch's writer; SSE adds net/http's connection reader,
+// and the WebSocket handler reads the inbound frames itself.
 //
 // Stream events (SSE `event:`/`data:` pairs; WebSocket text messages
 // `{"event":E,"data":D}`):
@@ -34,10 +37,10 @@ import (
 //	control {"verb":V,"fields":[...]}        any other hub control frame
 //	error   {"error":MSG}                    hub-reported error
 //
-// format=binary (WebSocket only) replaces all of the above after hello
-// with binary messages carrying the hub's v3 frame stream verbatim —
-// zero re-encode, message boundaries are not frame boundaries, decode
-// with tuple.StreamDecoder semantics (docs/WIRE.md).
+// Batch events follow hub delivery: one per delivered batch. format=binary
+// (WebSocket only) replaces all of the above after hello with binary
+// messages carrying the hub's v3 stream, one message per hub delivery
+// chunk; decode with tuple.StreamDecoder semantics (docs/WIRE.md).
 
 var (
 	errShutdown       = errors.New("webscope: gateway shutting down")
@@ -50,102 +53,71 @@ var (
 // than one timeout).
 const writeTimeout = 10 * time.Second
 
-// stream is one live SSE or WebSocket client.
-type stream struct {
-	g    *Gateway
-	q    *eventQueue
-	pipe net.Conn // gateway end; the hub owns the other end
-	// frame renders one event in the lane's framing into dst.
-	frame func(dst []byte, event string, data []byte) []byte
-	// conn is the hijacked WebSocket connection (nil for SSE).
+// sseWriter is an SSE client's transport as its hub sink writes it:
+// every write carries the stall deadline and is flushed to the browser.
+type sseWriter struct {
+	w   http.ResponseWriter
+	rc  *http.ResponseController
+	web *netscope.WebCounters
+}
+
+func (s sseWriter) Write(p []byte) (int, error) {
+	s.rc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // unsupported writers just lack the stall bound
+	n, err := s.w.Write(p)
+	if err == nil {
+		err = s.rc.Flush()
+	}
+	s.web.AddBytes(int64(n))
+	return n, err
+}
+
+// wsWriter is a WebSocket client's transport as its hub sink writes it:
+// every write carries the stall deadline, and a failed write closes the
+// connection so the handler's blocked frame read returns as well.
+type wsWriter struct {
 	conn net.Conn
-
-	slots int // WaitGroup reservations made in addStream
-	once  sync.Once
-	done  chan struct{}
+	web  *netscope.WebCounters
 }
 
-// shutdown tears the stream down from any goroutine, idempotently:
-// closing the pipe unblocks the pump and makes the hub unsubscribe;
-// closing the queue unblocks the writer; closing conn unblocks a
-// WebSocket reader or a stuck write.
-func (st *stream) shutdown() {
-	st.once.Do(func() {
-		close(st.done)
-		st.pipe.Close()
-		st.q.close()
-		if st.conn != nil {
-			st.conn.Close()
-		}
-	})
+func (w wsWriter) Write(p []byte) (int, error) {
+	w.conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // net.Conn deadline
+	n, err := w.conn.Write(p)
+	w.web.AddBytes(int64(n))
+	if err != nil {
+		w.conn.Close()
+	}
+	return n, err
 }
 
-// openStream registers a stream client and subscribes its pipe to the
-// hub. goroutines is how many stream goroutines the caller will run
-// (each must defer st.exit). On error nothing is registered.
-func (g *Gateway) openStream(req netscope.SubscriptionRequest, goroutines int) (*stream, error) {
-	st := &stream{
-		g:     g,
-		q:     newEventQueue(g.opts.QueueLimit),
-		done:  make(chan struct{}),
-		slots: goroutines,
-	}
-	ours, theirs := net.Pipe()
-	st.pipe = ours
-	if err := g.addStream(st, goroutines); err != nil {
-		ours.Close()
-		theirs.Close()
-		return nil, err
-	}
-	var serr error
-	if !g.invoke(func() { serr = g.srv.SubscribeWith(theirs, req) }) {
-		serr = errShutdown
-	}
-	if serr != nil {
-		g.dropStream(st)
-		g.wg.Add(-goroutines)
-		ours.Close()
-		theirs.Close()
-		return nil, serr
-	}
+// subscribe counts a client in, writes the hello event straight to w —
+// nothing is queued yet, so it leads the stream — and subscribes w to the
+// hub in enc. It returns nil, the client counted out again, when the
+// client or the gateway went away first.
+func (g *Gateway) subscribe(w io.Writer, enc netscope.Encoding, req netscope.SubscriptionRequest, format string) *netscope.Sink {
 	g.web.StreamOpen()
-	return st, nil
-}
-
-// exit is every stream goroutine's deferred bookkeeping.
-func (st *stream) exit() {
-	st.g.wg.Done()
-}
-
-// release finishes a stream: final drop accounting, registry removal.
-// Called once, by the handler goroutine, after shutdown.
-func (st *stream) release() {
-	st.g.web.AddDropped(st.q.drops())
-	st.g.web.StreamClose()
-	st.g.dropStream(st)
-}
-
-// emit frames one event and queues it; dropped events are recycled and
-// accounted.
-func (st *stream) emit(event string, data []byte) {
-	buf := st.g.getBuf()
-	buf = st.frame(buf, event, data)
-	st.recycle(st.q.push(buf))
-}
-
-// emitRaw queues an already-framed buffer (binary lane, control frames).
-func (st *stream) emitRaw(buf []byte, protected bool) {
-	if protected {
-		st.recycle(st.q.pushProtected(buf))
-		return
+	helloEnc := enc
+	if enc == netscope.EncodeWSV3 {
+		helloEnc = netscope.EncodeWSJSON // hello is a text message on every WebSocket
 	}
-	st.recycle(st.q.push(buf))
+	var sink *netscope.Sink
+	if _, err := w.Write(netscope.AppendEvent(nil, helloEnc, "hello", helloData(nil, req, format))); err == nil {
+		g.invoke(func() { sink, _ = g.srv.SubscribeSink(w, enc, req, g.opts.QueueLimit) })
+	}
+	if sink == nil {
+		g.web.StreamClose()
+	}
+	return sink
 }
 
-func (st *stream) recycle(dropped [][]byte) {
-	for _, d := range dropped {
-		st.g.putBuf(d)
-	}
+// unsubscribe ends a stream whose client is gone: anything still queued
+// is discarded, and once the sink's writer has exited — it must never
+// touch the transport after the handler returns — the hub drops the sink.
+func (g *Gateway) unsubscribe(sink *netscope.Sink) {
+	ww := sink.Watch()
+	ww.Cancel()
+	<-ww.Done()
+	g.srv.Loop().Invoke(sink.Close)
+	g.web.StreamClose()
 }
 
 // --- Query-parameter mapping ------------------------------------------------
@@ -238,126 +210,7 @@ func helloData(dst []byte, req netscope.SubscriptionRequest, format string) []by
 	return append(dst, '}')
 }
 
-// --- The JSON pump -----------------------------------------------------------
-
-// pumpJSON decodes the hub's stream (text lines and/or v3 binary
-// frames) and re-emits it as JSON events until the pipe closes. Runs on
-// the handler goroutine; per-iteration state lives in reused buffers so
-// the steady-state cost is the JSON encode itself.
-func (st *stream) pumpJSON() {
-	dec := tuple.NewStreamDecoder()
-	rbuf := make([]byte, 32*1024)
-	var batch []tuple.Tuple
-	var data []byte
-	appendTuples := func(b []tuple.Tuple) { batch = append(batch, b...) }
-	handleLine := func(line string) { batch = st.controlLine(line, batch, &data) }
-	for {
-		n, rerr := st.pipe.Read(rbuf)
-		if n > 0 {
-			batch = batch[:0]
-			ferr := dec.Feed(rbuf[:n], handleLine, appendTuples)
-			if len(batch) > 0 {
-				data = tuple.AppendJSONBatch(data[:0], batch)
-				st.emit("batch", data)
-			}
-			if ferr != nil {
-				data = append(data[:0], `{"error":"undecodable hub stream"}`...)
-				st.emit("error", data)
-				return
-			}
-		}
-		if rerr != nil {
-			return
-		}
-	}
-}
-
-// controlLine routes one hub line: tuples accumulate into batch, control
-// frames become their own events (flushing batched tuples first so
-// ordering survives). scratch is the caller's encode buffer.
-func (st *stream) controlLine(line string, batch []tuple.Tuple, scratch *[]byte) []tuple.Tuple {
-	if !tuple.IsComment(line) {
-		t, err := tuple.Parse(line)
-		if err == nil {
-			return append(batch, t)
-		}
-		return batch
-	}
-	cf, ok := tuple.ParseControl(line)
-	if !ok {
-		return batch
-	}
-	if len(batch) > 0 {
-		*scratch = tuple.AppendJSONBatch((*scratch)[:0], batch)
-		st.emit("batch", *scratch)
-		batch = batch[:0]
-	}
-	data := (*scratch)[:0]
-	switch cf.Verb {
-	case "param", "param-ok":
-		v, err := strconv.ParseFloat(cf.Arg(1), 64)
-		if err != nil {
-			return batch
-		}
-		data = append(data, `{"name":`...)
-		data = tuple.AppendJSONString(data, cf.Arg(0))
-		data = append(data, `,"value":`...)
-		data = tuple.AppendJSONValue(data, v)
-		data = append(data, '}')
-		st.emit("param", data)
-	case "error":
-		data = append(data, `{"error":`...)
-		data = tuple.AppendJSONString(data, strings.Join(cf.Fields, " "))
-		data = append(data, '}')
-		st.emit("error", data)
-	default:
-		data = append(data, `{"verb":`...)
-		data = tuple.AppendJSONString(data, cf.Verb)
-		data = append(data, `,"fields":[`...)
-		for i, f := range cf.Fields {
-			if i > 0 {
-				data = append(data, ',')
-			}
-			data = tuple.AppendJSONString(data, f)
-		}
-		data = append(data, `]}`...)
-		st.emit("control", data)
-	}
-	*scratch = data
-	return batch
-}
-
-// pumpBinary relays the hub's raw v3 byte stream as WebSocket binary
-// messages — no decode, no re-encode; the per-client cost is one copy
-// into the queue buffer plus the 2–10 byte frame header.
-func (st *stream) pumpBinary() {
-	rbuf := make([]byte, 32*1024)
-	for {
-		n, rerr := st.pipe.Read(rbuf)
-		if n > 0 {
-			buf := st.g.getBuf()
-			buf = appendWSFrame(buf, opBinary, rbuf[:n])
-			st.emitRaw(buf, false)
-		}
-		if rerr != nil {
-			return
-		}
-	}
-}
-
 // --- SSE ---------------------------------------------------------------------
-
-// appendSSEEvent renders one Server-Sent Event. data must be
-// newline-free, which the JSON encoders guarantee.
-//
-//gscope:hotpath
-func appendSSEEvent(dst []byte, event string, data []byte) []byte {
-	dst = append(dst, "event: "...)
-	dst = append(dst, event...)
-	dst = append(dst, "\ndata: "...)
-	dst = append(dst, data...)
-	return append(dst, '\n', '\n')
-}
 
 // handleSSE serves GET /v1/stream: a live JSON event stream.
 func (g *Gateway) handleSSE(w http.ResponseWriter, r *http.Request) {
@@ -374,192 +227,110 @@ func (g *Gateway) handleSSE(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "SSE supports format=json only (binary needs /v1/ws)")
 		return
 	}
-	rc := http.NewResponseController(w)
-	st, err := g.openStream(req, 3) // handler pump, writer, context watcher
-	if err != nil {
+	if err := g.admit(); err != nil {
 		httpError(w, streamErrCode(err), err.Error())
 		return
 	}
-	defer st.exit()
-	st.frame = appendSSEEvent
+	defer g.leave()
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-
-	writerDone := make(chan struct{})
-	go func() {
-		defer st.exit()
-		defer close(writerDone)
-		for {
-			buf, ok := st.q.pop()
-			if !ok {
-				return
-			}
-			rc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // unsupported writers just lack the stall bound
-			_, werr := w.Write(buf)
-			if werr == nil {
-				werr = rc.Flush()
-			}
-			g.web.AddBytes(int64(len(buf)))
-			g.putBuf(buf)
-			if werr != nil {
-				st.shutdown()
-				return
-			}
-		}
-	}()
-	// The context watcher turns a browser disconnect into a shutdown even
-	// when the hub is idle (no event write would ever fail).
-	go func() {
-		defer st.exit()
-		select {
-		case <-r.Context().Done():
-			st.shutdown()
-		case <-st.done:
-		}
-	}()
-
-	data := helloData(g.getBuf(), req, format)
-	st.emit("hello", data)
-	g.putBuf(data)
-	st.pumpJSON()
-	st.shutdown()
-	<-writerDone
-	st.release()
+	out := sseWriter{w: w, rc: http.NewResponseController(w), web: g.web}
+	sink := g.subscribe(out, netscope.EncodeSSE, req, format)
+	if sink == nil {
+		return
+	}
+	// The request context turns a browser disconnect into teardown even
+	// when the hub is idle (no write would ever fail).
+	select {
+	case <-r.Context().Done():
+	case <-sink.Watch().Done():
+	case <-g.ctx.Done():
+	}
+	g.unsubscribe(sink)
 }
 
 // --- WebSocket ---------------------------------------------------------------
 
-// appendWSJSONEvent renders one event as a WebSocket text message
-// {"event":E,"data":D}.
-//
-//gscope:hotpath
-func appendWSJSONEvent(dst []byte, event string, data []byte) []byte {
-	n := len(`{"event":"`) + len(event) + len(`","data":`) + len(data) + 1
-	dst = appendWSHeader(dst, opText, n)
-	dst = append(dst, `{"event":"`...)
-	dst = append(dst, event...)
-	dst = append(dst, `","data":`...)
-	dst = append(dst, data...)
-	return append(dst, '}')
-}
-
 // handleWS serves GET /v1/ws: the WebSocket lane. Text messages carry
 // the same events as SSE; with format=binary the payload is the hub's
-// v3 byte stream. Inbound text messages are v2 command lines ("param
-// set delay-ms 80") forwarded to the hub verbatim; replies come back as
-// param/error events.
+// v3 stream. Inbound text messages are v2 command lines ("param set
+// delay-ms 80") run by the hub as if they had arrived on a subscriber
+// socket; replies come back as param/error events.
 func (g *Gateway) handleWS(w http.ResponseWriter, r *http.Request) {
 	req, format, err := streamRequest(r.URL.Query())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if format != "json" && format != "binary" {
+	enc := netscope.EncodeWSJSON
+	switch format {
+	case "json":
+	case "binary":
+		enc = netscope.EncodeWSV3
+	default:
 		httpError(w, http.StatusBadRequest, "format must be json or binary")
 		return
 	}
-	if format == "binary" {
-		req.Wire = 3
-	}
-	st, err := g.openStream(req, 3) // handler pump, writer, frame reader
-	if err != nil {
+	if err := g.admit(); err != nil {
 		httpError(w, streamErrCode(err), err.Error())
 		return
 	}
-	defer st.exit()
+	defer g.leave()
 	conn, br, err := wsAccept(w, r)
 	if err != nil {
-		// wsAccept already wrote the HTTP error (or the conn died).
-		st.shutdown()
-		g.wg.Add(-2) // writer and reader were never started
-		st.release()
+		return // wsAccept already wrote the HTTP error (or the conn died)
+	}
+	defer conn.Close()
+	// Gateway.Close reaches a blocked frame read by closing the connection.
+	defer context.AfterFunc(g.ctx, func() { conn.Close() })()
+	sink := g.subscribe(wsWriter{conn: conn, web: g.web}, enc, req, format)
+	if sink == nil {
 		return
 	}
-	st.conn = conn
-	st.frame = appendWSJSONEvent
-
-	writerDone := make(chan struct{})
-	go func() {
-		defer st.exit()
-		defer close(writerDone)
-		for {
-			buf, ok := st.q.pop()
-			if !ok {
-				return
-			}
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // net.Conn deadline
-			_, werr := conn.Write(buf)
-			g.web.AddBytes(int64(len(buf)))
-			g.putBuf(buf)
-			if werr != nil {
-				st.shutdown()
-				return
-			}
-		}
-	}()
-	go func() {
-		defer st.exit()
-		st.readFrames(br)
-		// The peer closed (or broke protocol): the close echo is already
-		// queued. Stop the hub feed, then let the writer drain it before
-		// the handler tears the connection down.
-		st.pipe.Close()
-		st.q.finish()
-	}()
-
-	data := helloData(g.getBuf(), req, format)
-	st.emit("hello", data)
-	g.putBuf(data)
-	if format == "binary" {
-		st.pumpBinary()
-	} else {
-		st.pumpJSON()
-	}
-	// Drain-close: anything queued (in particular a close echo) reaches
+	g.readFrames(sink, br)
+	// Drain-close: anything queued — in particular a close echo — reaches
 	// the wire before the connection drops. Gateway.Close preempts the
-	// drain by closing the queue outright.
-	st.q.finish()
-	<-writerDone
-	st.shutdown()
-	st.release()
+	// drain by closing the connection.
+	ww := sink.Watch()
+	ww.Finish()
+	<-ww.Done()
+	g.unsubscribe(sink)
 }
 
 // readFrames is the WebSocket inbound loop: answers pings, honors close,
-// and forwards text messages to the hub as command lines.
-func (st *stream) readFrames(br *bufio.Reader) {
+// and hands text messages to the hub as command lines. Pongs and close
+// frames queue protected on the sink's watch, in order with the hub's
+// traffic and exempt from drop-oldest, so congestion never eats a
+// keepalive.
+func (g *Gateway) readFrames(sink *netscope.Sink, br *bufio.Reader) {
+	ww := sink.Watch()
 	ctrl := func(op byte, payload []byte) error {
 		switch op {
 		case opPing:
-			buf := st.g.getBuf()
-			buf = appendWSFrame(buf, opPong, payload)
-			st.emitRaw(buf, true)
+			ww.SendProtected(appendWSFrame(nil, opPong, payload))
 		case opClose:
-			buf := st.g.getBuf()
 			code := closeNormal
 			if len(payload) >= 2 {
 				code = int(payload[0])<<8 | int(payload[1])
 			}
-			buf = appendWSClose(buf, code, "")
-			st.emitRaw(buf, true)
+			ww.SendProtected(appendWSClose(nil, code, ""))
 			return errPeerClosed
 		}
 		return nil
 	}
 	for {
-		op, msg, err := st.readOneMessage(br, ctrl)
+		op, msg, err := readWSMessage(br, true, ctrl)
 		if err != nil {
 			if errors.Is(err, errWSProtocol) || errors.Is(err, errWSTooBig) {
-				buf := st.g.getBuf()
 				code := closeProtocolError
 				if errors.Is(err, errWSTooBig) {
 					code = closeTooBig
 				}
-				buf = appendWSClose(buf, code, "")
-				st.emitRaw(buf, true)
+				ww.SendProtected(appendWSClose(nil, code, ""))
 			}
 			return
 		}
@@ -570,20 +341,15 @@ func (st *stream) readFrames(br *bufio.Reader) {
 		if line == "" || strings.ContainsAny(line, "\n\r") {
 			continue
 		}
-		// Forward to the hub's command plane; the reply comes back down
-		// the stream as a param/error event.
-		st.pipe.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // net.Pipe supports deadlines
-		if _, err := st.pipe.Write(append([]byte(line), '\n')); err != nil {
+		// Waiting for the hub to run the command bounds a flooding client
+		// to one command in flight.
+		if !g.invoke(func() { sink.Command(line) }) {
 			return
 		}
 	}
 }
 
-func (st *stream) readOneMessage(br *bufio.Reader, ctrl func(byte, []byte) error) (byte, []byte, error) {
-	return readWSMessage(br, true, ctrl)
-}
-
-// streamErrCode maps openStream failures onto HTTP statuses.
+// streamErrCode maps admission failures onto HTTP statuses.
 func streamErrCode(err error) int {
 	switch {
 	case errors.Is(err, errTooManyClients):

@@ -11,20 +11,23 @@
 //
 // Threading: every piece of hub state is owned by the server's glib
 // loop goroutine, while net/http runs handlers on arbitrary goroutines.
-// The gateway never touches hub state directly — stream subscriptions
-// ride net.Pipe into Server.SubscribeWith and reads marshal through
-// Loop().Invoke (see Gateway.invoke). Each stream client gets the same
-// treatment a TCP subscriber gets: the hub end of its pipe is a real v2
-// subscription (shared encodings per filter signature, server-side
-// decimation, snapshot/backfill), and the browser end rides a bounded
-// drop-oldest event queue so one stalled tab never blocks the hub or
-// another viewer. Endpoint reference: docs/HTTP.md.
+// The gateway never touches hub state directly — subscriptions, inbound
+// commands and reads all marshal through Loop().Invoke (see
+// Gateway.invoke). Each stream client is an ordinary hub subscriber: a
+// netscope.Sink over the client's own transport, encoded in its lane's
+// encoding, so it shares each batch's encoding with every subscriber of
+// the same filter signature and lane, gets server-side decimation and
+// snapshot/backfill, and rides one bounded drop-oldest queue (a
+// glib.WriteWatch) so one stalled tab never blocks the hub or another
+// viewer. Endpoint reference: docs/HTTP.md.
 package webscope
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/netscope"
 )
@@ -33,8 +36,8 @@ const (
 	// DefaultMaxClients bounds concurrent stream clients (SSE plus
 	// WebSocket); further stream requests get 503.
 	DefaultMaxClients = 64
-	// DefaultQueueLimit bounds each stream client's outbound event queue
-	// (drop-oldest beyond it).
+	// DefaultQueueLimit bounds each stream client's outbound queue in hub
+	// delivery chunks (drop-oldest beyond it).
 	DefaultQueueLimit = 256
 )
 
@@ -43,8 +46,9 @@ type Options struct {
 	// MaxClients bounds concurrent stream clients; non-positive selects
 	// DefaultMaxClients.
 	MaxClients int
-	// QueueLimit bounds each stream client's outbound event queue in
-	// events (drop-oldest); non-positive selects DefaultQueueLimit.
+	// QueueLimit bounds each stream client's outbound queue in hub
+	// delivery chunks (drop-oldest); non-positive selects
+	// DefaultQueueLimit.
 	QueueLimit int
 	// NoDashboard disables the embedded dashboard at / (the API
 	// endpoints stay mounted).
@@ -60,22 +64,18 @@ type Gateway struct {
 	opts Options
 	mux  *http.ServeMux
 
-	// stop closes when the gateway shuts down; handlers blocked on the
-	// loop or on a queue select on it.
-	stop chan struct{}
+	// ctx is canceled when the gateway shuts down: handlers waiting on
+	// the loop, and every live stream, watch it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	// bufPool recycles event encode buffers between stream emitters and
-	// their writer goroutines.
-	bufPool sync.Pool
-
-	// mu guards the stream-client registry and the shutdown flag. The
-	// WaitGroup counts every stream goroutine; Close waits for it, which
-	// is what makes Server.Close leak-free with writers in flight.
+	// mu serializes stream admission with shutdown. The WaitGroup counts
+	// stream handlers, each of which outlives its sink's writer; Close
+	// waits for it, which is what makes Server.Close leak-free with
+	// writers in flight.
 	mu sync.Mutex
 	//gscope:guardedby mu
-	closed bool
-	//gscope:guardedby mu
-	streams map[*stream]struct{}
+	streams int
 	wg      sync.WaitGroup
 }
 
@@ -88,14 +88,8 @@ func New(srv *netscope.Server, opts Options) *Gateway {
 	if opts.QueueLimit <= 0 {
 		opts.QueueLimit = DefaultQueueLimit
 	}
-	g := &Gateway{
-		srv:     srv,
-		web:     srv.Web(),
-		opts:    opts,
-		stop:    make(chan struct{}),
-		streams: make(map[*stream]struct{}),
-	}
-	g.bufPool.New = func() any { b := make([]byte, 0, 4096); return &b }
+	g := &Gateway{srv: srv, web: srv.Web(), opts: opts}
+	g.ctx, g.cancel = context.WithCancel(context.Background())
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/stream", g.handleSSE)
 	mux.HandleFunc("/v1/ws", g.handleWS)
@@ -116,80 +110,70 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// Close shuts the gateway down: refuses new streams, kills every
-// in-flight one (closing its hub pipe, its event queue, and — for
-// WebSocket — its hijacked connection), and waits for all stream
-// goroutines to exit. Safe to call more than once. netscope.Server.Close
-// calls it before tearing down the hub.
+// Close shuts the gateway down: refuses new streams, ends every
+// in-flight one (discarding its queue and, for WebSocket, closing its
+// hijacked connection), and waits for all stream handlers to exit. Safe to
+// call more than once. netscope.Server.Close calls it before tearing down
+// the hub.
 func (g *Gateway) Close() error {
 	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	g.closed = true
-	live := make([]*stream, 0, len(g.streams))
-	for st := range g.streams {
-		live = append(live, st)
-	}
+	g.cancel()
 	g.mu.Unlock()
-	close(g.stop)
-	for _, st := range live {
-		st.shutdown()
-	}
 	g.wg.Wait()
 	return nil
 }
 
-// addStream registers a stream client, enforcing the shutdown flag and
-// the client cap, and reserves its WaitGroup slots (n goroutines).
-func (g *Gateway) addStream(st *stream, goroutines int) error {
+// admit reserves a stream client slot, enforcing shutdown and the client
+// cap; every admitted handler defers leave.
+func (g *Gateway) admit() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed {
+	if g.ctx.Err() != nil {
 		return errShutdown
 	}
-	if len(g.streams) >= g.opts.MaxClients {
+	if g.streams >= g.opts.MaxClients {
 		return errTooManyClients
 	}
-	g.streams[st] = struct{}{}
-	g.wg.Add(goroutines)
+	g.streams++
+	g.wg.Add(1)
 	return nil
 }
 
-// dropStream removes a finished stream from the registry.
-func (g *Gateway) dropStream(st *stream) {
+// leave releases an admitted handler's slot.
+func (g *Gateway) leave() {
 	g.mu.Lock()
-	delete(g.streams, st)
+	g.streams--
 	g.mu.Unlock()
+	g.wg.Done()
 }
 
 // invoke runs fn on the server's loop goroutine and waits for it. It
-// returns false — without waiting further — when the gateway shuts down
-// first (a stopped loop never runs posted work); the caller must treat
-// fn's results as unset in that case.
+// returns false when the gateway shuts down first — a stopped loop never
+// runs posted work — and fn then never runs, not even late: a caller that
+// gave up must not find a subscription made behind its back.
 func (g *Gateway) invoke(fn func()) bool {
+	if g.ctx.Err() != nil {
+		return false
+	}
+	const pending, ran, abandoned = 0, 1, 2
+	var state atomic.Int32
 	done := make(chan struct{})
 	g.srv.Loop().Invoke(func() {
-		fn()
+		if state.CompareAndSwap(pending, ran) {
+			fn()
+		}
 		close(done)
 	})
 	select {
 	case <-done:
 		return true
-	case <-g.stop:
-		return false
+	case <-g.ctx.Done():
+		if state.CompareAndSwap(pending, abandoned) {
+			return false
+		}
+		<-done // fn is running on the loop; it finishes
+		return true
 	}
-}
-
-// getBuf takes a recycled encode buffer (length 0).
-func (g *Gateway) getBuf() []byte {
-	return (*g.bufPool.Get().(*[]byte))[:0]
-}
-
-// putBuf recycles an encode buffer once its bytes are on the wire.
-func (g *Gateway) putBuf(b []byte) {
-	g.bufPool.Put(&b)
 }
 
 // httpError writes a JSON error body with the given status.

@@ -2,7 +2,6 @@ package webscope
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -930,74 +929,5 @@ func TestStreamRequestMapping(t *testing.T) {
 	}
 	if _, _, err := streamRequest(url.Values{"since": {"whenever"}}); err == nil {
 		t.Fatal("bad since accepted")
-	}
-}
-
-// --- Unit: the event queue ---------------------------------------------------
-
-func TestEventQueueDropOldest(t *testing.T) {
-	q := newEventQueue(2)
-	if d := q.push([]byte("a")); len(d) != 0 {
-		t.Fatalf("dropped %v on first push", d)
-	}
-	q.push([]byte("b"))
-	d := q.push([]byte("c"))
-	if len(d) != 1 || string(d[0]) != "a" {
-		t.Fatalf("dropped = %q, want oldest (a)", d)
-	}
-	if q.drops() != 1 {
-		t.Fatalf("drops = %d", q.drops())
-	}
-	got, ok := q.pop()
-	if !ok || string(got) != "b" {
-		t.Fatalf("pop = %q %v", got, ok)
-	}
-}
-
-func TestEventQueueProtected(t *testing.T) {
-	q := newEventQueue(2)
-	q.push([]byte("a"))
-	q.pushProtected([]byte("pong"))
-	// The queue is at its limit; each push drops the oldest droppable
-	// event, never the pong.
-	if d := q.push([]byte("b")); len(d) != 1 || string(d[0]) != "a" {
-		t.Fatalf("dropped %q, want a", d)
-	}
-	if d := q.push([]byte("c")); len(d) != 1 || string(d[0]) != "b" {
-		t.Fatalf("dropped %q, want b", d)
-	}
-	var order []string
-	for i := 0; i < 2; i++ {
-		v, ok := q.pop()
-		if !ok {
-			t.Fatal("queue closed early")
-		}
-		order = append(order, string(v))
-	}
-	if fmt.Sprint(order) != "[pong c]" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestEventQueueCloseUnblocksPop(t *testing.T) {
-	q := newEventQueue(4)
-	done := make(chan bool)
-	go func() {
-		_, ok := q.pop()
-		done <- ok
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("pop returned ok after close")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pop did not unblock on close")
-	}
-	// Pushing into a closed queue hands the buffer straight back.
-	if d := q.push([]byte("x")); len(d) != 1 {
-		t.Fatalf("closed push kept the buffer: %v", d)
 	}
 }

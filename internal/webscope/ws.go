@@ -11,6 +11,8 @@ import (
 	"net"
 	"net/http"
 	"strings"
+
+	"repro/internal/netscope"
 )
 
 // A hand-rolled RFC 6455 server: handshake, frame codec, masking,
@@ -265,22 +267,12 @@ func eofIsUnexpected(err error) error {
 }
 
 // appendWSHeader appends a server-to-client frame header (fin, unmasked)
-// for a payload of n bytes. The stream encode path calls it per event.
+// for a payload of n bytes. The hub frames stream chunks with the same
+// encoder.
 //
 //gscope:hotpath
 func appendWSHeader(dst []byte, op byte, n int) []byte {
-	dst = append(dst, 0x80|op)
-	switch {
-	case n <= 125:
-		dst = append(dst, byte(n))
-	case n <= 0xFFFF:
-		dst = append(dst, 126, byte(n>>8), byte(n))
-	default:
-		dst = append(dst, 127,
-			byte(uint64(n)>>56), byte(uint64(n)>>48), byte(uint64(n)>>40), byte(uint64(n)>>32),
-			byte(uint64(n)>>24), byte(uint64(n)>>16), byte(uint64(n)>>8), byte(uint64(n)))
-	}
-	return dst
+	return netscope.AppendWSHeader(dst, op, n)
 }
 
 // appendWSFrame appends a complete server frame: header plus payload.
