@@ -738,6 +738,37 @@ func BenchmarkTupleAppendWire(b *testing.B) {
 	}
 }
 
+// BenchmarkTupleValueCodec times the text codec on one line per value
+// shape: an integer counter, a two-decimal reading, and a full-precision
+// (17-digit) sawtooth value. Short decimals take the exact fast paths;
+// the full row gates what they cost a value that falls back to strconv.
+func BenchmarkTupleValueCodec(b *testing.B) {
+	for _, c := range []struct {
+		shape string
+		v     float64
+	}{
+		{"int", 1000042},
+		{"decimal", 519.53},
+		{"full", 1 + 37.0*13/137},
+	} {
+		t := tuple.Tuple{Time: 60000, Value: c.v, Name: "net.flow0.cwnd"}
+		line := t.String()
+		b.Run(c.shape+"/format", func(b *testing.B) {
+			buf := make([]byte, 0, 64)
+			for i := 0; i < b.N; i++ {
+				buf = tuple.AppendWire(buf[:0], t)
+			}
+		})
+		b.Run(c.shape+"/parse", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got, err := tuple.Parse(line); err != nil || got.Value != c.v {
+					b.Fatalf("Parse(%q) = %v, %v", line, got, err)
+				}
+			}
+		})
+	}
+}
+
 // --- wire protocol v3 (docs/WIRE.md) ----------------------------------------
 
 // benchTelemetryBatch builds the runs-shaped counter-telemetry batch the
@@ -1117,9 +1148,11 @@ func BenchmarkParamSetNetwork(b *testing.B) {
 		close(done)
 	}()
 	defer func() {
-		srv.Close()
+		// Server state belongs to the loop goroutine: stop the loop
+		// before closing the server from this one.
 		loop.Quit()
 		<-done
+		srv.Close()
 	}()
 	conn, err := net.Dial("tcp", subAddr.String())
 	if err != nil {

@@ -79,7 +79,10 @@ func (l *Loop) WatchReader(r io.Reader, fn ReadFunc) *IOWatch {
 
 // WatchReaderSize is WatchReader with a caller-chosen read buffer size, for
 // hot streams (a publisher's binary tuple feed) where 4 KiB reads would pay
-// one loop dispatch per few thousand tuples.
+// one loop dispatch per few thousand tuples. The callback is handed the
+// read buffer itself, not a copy: the reader goroutine blocks until the
+// callback returns before it reads again, and quits without reading once
+// the watch is canceled, so data is never overwritten while fn can see it.
 func (l *Loop) WatchReaderSize(r io.Reader, size int, fn ReadFunc) *IOWatch {
 	w := newIOWatch()
 	go func() {
@@ -89,8 +92,7 @@ func (l *Loop) WatchReaderSize(r io.Reader, size int, fn ReadFunc) *IOWatch {
 			if w.cancel.Load() {
 				return
 			}
-			data := make([]byte, n)
-			copy(data, buf[:n])
+			data := buf[:n]
 			done := make(chan bool, 1)
 			l.Invoke(func() {
 				if w.cancel.Load() {

@@ -205,7 +205,10 @@ type hubState struct {
 
 	subs map[*subscriber]struct{}
 
+	// history is the retained snapshot window, a slice of histBuf (see
+	// retain).
 	history    []tuple.Tuple
+	histBuf    []tuple.Tuple
 	newestMS   int64 // running max of retained-stream timestamps
 	newestSet  bool
 	window     time.Duration
@@ -226,7 +229,10 @@ type hubState struct {
 	// plain and shareMemo cache the chunks of the batch being broadcast,
 	// one per encoding for unfiltered subscribers and one per (filter
 	// signature, encoding) for name-filtered ones, so all the subscribers
-	// of a pair share one encode. scratch stages JSON payloads.
+	// of a pair share one encode. scratch stages every chunk encoded
+	// through it (JSON payloads, text batches, the snapshot) before the
+	// exactly sized copy; it keeps the capacity of the largest, usually
+	// the snapshot's.
 	plain     [numEncodings][]byte
 	shareMemo map[memoKey]memoChunk
 	scratch   []byte
@@ -296,6 +302,9 @@ type FanoutStats struct {
 func (s *Server) SetSnapshotWindow(d time.Duration) {
 	s.hub.window = d
 	s.hub.windowSet = true
+	if s.hub.histLimit > 0 {
+		s.hub.sizeHistory()
+	}
 }
 
 // SetSubscriberQueueLimit bounds each subscriber's outbound queue in
@@ -365,6 +374,7 @@ func (s *Server) hubInit() {
 	}
 	if s.hub.histLimit == 0 {
 		s.hub.histLimit = DefaultSnapshotLimit
+		s.hub.sizeHistory()
 	}
 	if s.hub.queueLimit <= 0 {
 		s.hub.queueLimit = DefaultSubscriberQueueLimit
@@ -803,18 +813,19 @@ func readFlightBackfill(dir string, sinceMS, cutoffMS int64, f *sigFilter) []tup
 }
 
 // snapshotChunk encodes the handshake plus the retained history window as
-// one queue chunk, so drop-oldest can never tear the snapshot apart.
+// one queue chunk, so drop-oldest can never tear the snapshot apart. The
+// tuples are staged in the scratch buffer and the chunk is allocated once,
+// at its final size.
 func (s *Server) snapshotChunk() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s %d\n", hubMagic, hubVersion)
-	fmt.Fprintf(&b, "# snapshot tuples=%d window-ms=%d\n",
-		len(s.hub.history), s.hub.window.Milliseconds())
-	for _, t := range s.hub.history {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
-	}
-	b.WriteString("# snapshot-end\n")
-	return []byte(b.String())
+	h := &s.hub
+	head := tuple.AppendControl(nil, hubMagic, strconv.Itoa(hubVersion))
+	head = tuple.AppendControl(head, "snapshot",
+		"tuples="+strconv.Itoa(len(h.history)),
+		"window-ms="+strconv.FormatInt(h.window.Milliseconds(), 10))
+	const tail = "# snapshot-end\n"
+	h.scratch = tuple.AppendWireBatch(h.scratch[:0], h.history)
+	b := make([]byte, 0, len(head)+len(h.scratch)+len(tail))
+	return append(append(append(b, head...), h.scratch...), tail...)
 }
 
 // broadcastBatch retains a delivered batch in the snapshot history (and
@@ -874,7 +885,7 @@ func (s *Server) plainChunk(enc Encoding, batch []tuple.Tuple) []byte {
 	if *c == nil {
 		switch enc {
 		case EncodeText:
-			*c = tuple.AppendWireBatch(make([]byte, 0, 24*len(batch)), batch)
+			*c = s.hub.textChunk(batch)
 		case EncodeV3, EncodeWSV3:
 			b := s.hub.benc.AppendBatch(make([]byte, wsHeaderRoom, wsHeaderRoom+8*len(batch)), batch)
 			s.hub.plain[EncodeV3] = EncodeV3.sealInPlace(b)
@@ -889,11 +900,32 @@ func (s *Server) plainChunk(enc Encoding, batch []tuple.Tuple) []byte {
 // chunkFor encodes ts as a fresh chunk in sub's encoding, sealed for its
 // transport.
 func (s *Server) chunkFor(sub *subscriber, ts []tuple.Tuple) []byte {
-	if sub.enc.json() {
+	switch {
+	case sub.enc.json():
 		return s.hub.batchEvent(sub.enc, ts)
+	case !sub.binary():
+		return s.hub.textChunk(ts)
 	}
 	return sub.enc.sealInPlace(s.appendTuples(make([]byte, wsHeaderRoom, wsHeaderRoom+24*len(ts)), sub, ts))
 }
+
+// textChunk encodes ts as text lines in a chunk allocated once: a batch
+// is staged in the scratch buffer and copied out at its exact size, and a
+// lone tuple is encoded in place into maxWireLine plus its cleaned name,
+// which bounds the line at the cost of some spare capacity.
+func (h *hubState) textChunk(ts []tuple.Tuple) []byte {
+	if len(ts) == 1 {
+		t := ts[0]
+		name := tuple.CleanName(t.Name)
+		return tuple.AppendWirePrepared(make([]byte, 0, maxWireLine+len(name)), t.Time, t.Value, name)
+	}
+	h.scratch = tuple.AppendWireBatch(h.scratch[:0], ts)
+	return append(make([]byte, 0, len(h.scratch)), h.scratch...)
+}
+
+// maxWireLine bounds a text line less its name: a 20-byte time, a 24-byte
+// value (strconv's longest shortest form) and the two spaces and newline.
+const maxWireLine = 20 + 24 + 3
 
 // sendFiltered narrows batch through the subscription and queues what
 // passes. Name-only filters share one chunk per (signature, encoding)
@@ -950,6 +982,17 @@ func (s *Server) backfillRetain(batch []tuple.Tuple) {
 	}
 }
 
+// sizeHistory allocates the snapshot history's backing array, once,
+// when the window and limit are known: twice the limit, so retain can
+// append a whole limit's worth of tuples between slides.
+func (h *hubState) sizeHistory() {
+	if h.window <= 0 || h.histBuf != nil {
+		return
+	}
+	h.histBuf = make([]tuple.Tuple, 2*h.histLimit)
+	h.history = h.histBuf[:0]
+}
+
 // retain appends t to the snapshot history and prunes it to the configured
 // window and hard size cap. The window is anchored to a running max of the
 // timestamps seen, not the incoming tuple's own stamp: under non-monotonic
@@ -958,6 +1001,13 @@ func (s *Server) backfillRetain(batch []tuple.Tuple) {
 // window relative to the running max are not retained at all — they could
 // never be part of a connect-time snapshot, and appended behind in-window
 // history they would be unreachable by the front-only prune.
+//
+// The history is a window of one backing array of 2×histLimit tuples
+// allocated by sizeHistory: pruning advances the window's front, and when
+// its back reaches the array's end the live window (at most histLimit
+// tuples) slides to the front. A retained tuple allocates nothing, and the
+// slide's copy is amortized over the at least histLimit appends between
+// slides.
 //
 //gscope:hotpath
 func (s *Server) retain(t tuple.Tuple) {
@@ -972,6 +1022,9 @@ func (s *Server) retain(t tuple.Tuple) {
 	if s.hub.newestMS-t.Time > winMS {
 		return // stale-stamped: outside the snapshot window on arrival
 	}
+	if len(s.hub.history) == cap(s.hub.history) {
+		s.hub.history = s.hub.histBuf[:copy(s.hub.histBuf, s.hub.history)]
+	}
 	s.hub.history = append(s.hub.history, t)
 	cut := 0
 	if over := len(s.hub.history) - s.hub.histLimit; over > 0 {
@@ -980,14 +1033,7 @@ func (s *Server) retain(t tuple.Tuple) {
 	for cut < len(s.hub.history) && s.hub.newestMS-s.hub.history[cut].Time > winMS {
 		cut++
 	}
-	if cut > 0 {
-		// Reslice instead of copying: this runs per broadcast tuple on
-		// the loop goroutine, and append reallocates (copying only the
-		// live tail) once the backing array's capacity is spent, so the
-		// prune is amortized O(1) and memory stays bounded by ~2× the
-		// live window.
-		s.hub.history = s.hub.history[cut:]
-	}
+	s.hub.history = s.hub.history[cut:]
 }
 
 // Inject delivers t exactly as if it had arrived from a publisher

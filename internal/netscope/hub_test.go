@@ -1,9 +1,11 @@
 package netscope
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -576,6 +578,72 @@ func TestHubRetainNonMonotonicStamps(t *testing.T) {
 	// live ones — and none of the 50 stale ones.
 	if n := len(srv.hub.history); n != 60 {
 		t.Fatalf("history holds %d tuples, want 60", n)
+	}
+}
+
+// TestHubRetainZeroAlloc: the snapshot history lives in one backing
+// array sized when the hub is set up, so retaining allocates nothing, and
+// the window keeps its tuples in order across the slides to the front.
+func TestHubRetainZeroAlloc(t *testing.T) {
+	_, srv, _, _ := hubRig(t)
+	limit := srv.hub.histLimit
+	ms := int64(0)
+	// Each run retains several windows' worth, so an allocation amortized
+	// over many tuples still counts.
+	sweep := func() {
+		for i := 0; i < 5*limit; i++ {
+			srv.retain(tuple.Tuple{Time: ms, Value: float64(ms), Name: "s"})
+			ms++
+		}
+	}
+	if n := testing.AllocsPerRun(3, sweep); n != 0 {
+		t.Fatalf("retaining %d tuples allocates %.0f times", 5*limit, n)
+	}
+	h := srv.hub.history
+	if len(h) != limit {
+		t.Fatalf("history holds %d tuples, want the %d-tuple limit", len(h), limit)
+	}
+	for i, tu := range h {
+		if want := ms - int64(limit) + int64(i); tu.Time != want || tu.Value != float64(want) {
+			t.Fatalf("history[%d] = %+v, want time %d", i, tu, want)
+		}
+	}
+	if !srv.historyCovers(ms-int64(limit)) || srv.historyCovers(ms-int64(limit)-1) {
+		t.Fatalf("historyCovers disagrees with the retained window")
+	}
+}
+
+// TestTextChunkExactlySized: a text chunk is one allocation at its final
+// size — a batch exactly, a lone tuple within its line bound — and its
+// bytes are the plain wire encoding.
+func TestTextChunkExactlySized(t *testing.T) {
+	var h hubState
+	batch := []tuple.Tuple{
+		{Time: 1700000000123, Value: 0.25, Name: "cpu"},
+		{Time: 1700000000124, Value: -3, Name: "cpu"},
+		{Time: 1700000000125, Value: 1.0 / 3, Name: "net rx"},
+	}
+	for _, ts := range [][]tuple.Tuple{batch, batch[2:], {{Time: -1 << 63, Value: -2.2250738585072014e-308, Name: "x"}}} {
+		got := h.textChunk(ts)
+		if want := tuple.AppendWireBatch(nil, ts); !bytes.Equal(got, want) {
+			t.Errorf("textChunk = %q, want %q", got, want)
+		}
+		if len(ts) > 1 && cap(got) != len(got) {
+			t.Errorf("%d-tuple chunk of %d bytes has capacity %d", len(ts), len(got), cap(got))
+		}
+		if n := testing.AllocsPerRun(100, func() { h.textChunk(ts) }); n != 1 {
+			t.Errorf("%d-tuple chunk costs %.1f allocations, want 1", len(ts), n)
+		}
+	}
+	// Sanitizing can lengthen a name (each invalid byte becomes a 3-byte
+	// U+FFFD), so a lone tuple's bound comes from the cleaned name.
+	lone := tuple.Tuple{Time: 1, Value: 2, Name: "x\n" + strings.Repeat("\xff", 40)}
+	got := h.textChunk([]tuple.Tuple{lone})
+	if want := tuple.AppendWire(nil, lone); !bytes.Equal(got, want) {
+		t.Errorf("textChunk = %q, want %q", got, want)
+	}
+	if bound := maxWireLine + len(tuple.CleanName(lone.Name)); cap(got) > bound {
+		t.Errorf("sanitized lone tuple's chunk regrew to capacity %d, bound %d", cap(got), bound)
 	}
 }
 

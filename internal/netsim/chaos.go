@@ -182,12 +182,18 @@ func (p *ChaosProxy) pipe(dst, src net.Conn) {
 			if !p.waitUnpartitioned() {
 				return
 			}
-			if _, werr := dst.Write(buf[:n]); werr != nil {
-				return
-			}
+			// Count before writing: the peer may read the bytes, and act
+			// on them, before Write returns. Bytes a failed write did
+			// not deliver are uncounted again.
 			p.mu.Lock()
 			p.forwarded += int64(n)
 			p.mu.Unlock()
+			if wn, werr := dst.Write(buf[:n]); werr != nil {
+				p.mu.Lock()
+				p.forwarded -= int64(n - wn)
+				p.mu.Unlock()
+				return
+			}
 		}
 		if err != nil {
 			return // EOF or reset either way: drop the pair

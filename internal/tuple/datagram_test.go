@@ -2,7 +2,6 @@ package tuple
 
 import (
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -120,14 +119,15 @@ func TestDatagramEncoderZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		dst = enc.AppendDatagram(dst[:0], batch)
 	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < 200; i++ {
-		dst = enc.AppendDatagram(dst[:0], batch)
+	// AllocsPerRun measures at GOMAXPROCS 1, so no other goroutine
+	// allocates in parallel with the loop. One run holds all 200 rounds,
+	// so an allocation amortized over rounds still counts.
+	rounds := func() {
+		for i := 0; i < 200; i++ {
+			dst = enc.AppendDatagram(dst[:0], batch)
+		}
 	}
-	runtime.ReadMemStats(&m1)
-	if allocs := m1.Mallocs - m0.Mallocs; allocs > 2 {
-		t.Fatalf("steady-state AppendDatagram allocated %d times over 200 rounds", allocs)
+	if allocs := testing.AllocsPerRun(1, rounds); allocs > 2 {
+		t.Fatalf("steady-state AppendDatagram allocated %.0f times over 200 rounds", allocs)
 	}
 }

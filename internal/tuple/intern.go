@@ -166,12 +166,7 @@ func (in *Interner) AppendWireID(dst []byte, id SignalID, s Sample) []byte {
 func AppendWireName(dst []byte, nameSfx []byte, s Sample) []byte {
 	dst = strconv.AppendInt(dst, s.At.Milliseconds(), 10)
 	dst = append(dst, ' ')
-	v := s.Value
-	if v == float64(int64(v)) {
-		dst = strconv.AppendInt(dst, int64(v), 10)
-	} else {
-		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	}
+	dst = AppendValue(dst, s.Value)
 	dst = append(dst, nameSfx...)
 	return append(dst, '\n')
 }

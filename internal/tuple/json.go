@@ -16,46 +16,46 @@ import (
 // triples to dst and returns the extended slice. Values JSON cannot carry
 // (NaN, ±Inf) encode as null; names encode as JSON strings with full
 // escaping (the §3.3 grammar allows spaces and arbitrary non-newline
-// bytes in names).
+// bytes in names). Batches carry runs of one signal, so a run's name is
+// escaped once and copied for the rest of the run, as AppendWireBatch
+// cleans it once.
 //
 //gscope:hotpath
 func AppendJSONBatch(dst []byte, batch []Tuple) []byte {
 	dst = append(dst, '[')
+	var name string
+	var ns, ne int // the escaped name of the current run, in dst
 	for i, t := range batch {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = AppendJSONTuple(dst, t)
+		dst = append(dst, '[')
+		dst = strconv.AppendInt(dst, t.Time, 10)
+		dst = append(dst, ',')
+		dst = AppendJSONValue(dst, t.Value)
+		dst = append(dst, ',')
+		if i == 0 || t.Name != name {
+			name, ns = t.Name, len(dst)
+			dst = AppendJSONString(dst, name)
+			ne = len(dst)
+		} else {
+			dst = append(dst, dst[ns:ne]...)
+		}
+		dst = append(dst, ']')
 	}
 	return append(dst, ']')
 }
 
-// AppendJSONTuple appends one [timeMS, value, "name"] triple to dst.
-//
-//gscope:hotpath
-func AppendJSONTuple(dst []byte, t Tuple) []byte {
-	dst = append(dst, '[')
-	dst = strconv.AppendInt(dst, t.Time, 10)
-	dst = append(dst, ',')
-	dst = AppendJSONValue(dst, t.Value)
-	dst = append(dst, ',')
-	dst = AppendJSONString(dst, t.Name)
-	return append(dst, ']')
-}
-
 // AppendJSONValue appends v as a JSON number, compactly: integers without
-// a decimal point (FormatValue's convention), NaN and ±Inf as null (JSON
-// has no encoding for them).
+// a decimal point (AppendValue's form), NaN and ±Inf as null (JSON has no
+// encoding for them).
 //
 //gscope:hotpath
 func AppendJSONValue(dst []byte, v float64) []byte {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return append(dst, "null"...)
 	}
-	if v == float64(int64(v)) {
-		return strconv.AppendInt(dst, int64(v), 10)
-	}
-	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+	return AppendValue(dst, v)
 }
 
 const hexDigits = "0123456789abcdef"

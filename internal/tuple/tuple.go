@@ -38,8 +38,11 @@
 // names at the registration APIs, and the encoders sanitize them
 // (CleanName) rather than emit lines that parse back differently or, for a
 // crafted name with an embedded newline, forge extra tuples. Values
-// round-trip through FormatValue: integral values print without a decimal
-// point, everything else with 'g' formatting at full precision.
+// round-trip through AppendValue: integral values print without a decimal
+// point, everything else in strconv's shortest 'g' form. Both directions
+// of the value codec take an exact shortcut for short decimals (value.go),
+// so encoding a typical tuple, or parsing its line back, does no strconv
+// float work and allocates nothing.
 //
 // # Embedded protocols
 //
@@ -208,15 +211,6 @@ func (t Tuple) String() string {
 	return string(b[:len(b)-1])
 }
 
-// FormatValue renders a sample value compactly: integers without a decimal
-// point, other values with enough digits to round-trip.
-func FormatValue(v float64) string {
-	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // AppendWire appends the newline-terminated wire form of t to dst and
 // returns the extended slice. It is the allocation-free encoder behind the
 // batch streaming paths (client writer, hub broadcast); the result parses
@@ -240,11 +234,7 @@ func AppendWire(dst []byte, t Tuple) []byte {
 func AppendWirePrepared(dst []byte, timeMS int64, v float64, name string) []byte {
 	dst = strconv.AppendInt(dst, timeMS, 10)
 	dst = append(dst, ' ')
-	if v == float64(int64(v)) {
-		dst = strconv.AppendInt(dst, int64(v), 10)
-	} else {
-		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	}
+	dst = AppendValue(dst, v)
 	if name != "" {
 		dst = append(dst, ' ')
 		dst = append(dst, name...)
@@ -272,8 +262,13 @@ func AppendWireBatch(dst []byte, batch []Tuple) []byte {
 
 // Parse decodes one tuple line. Both the two-field (time value) and
 // three-field (time value name) forms are accepted. Signal names may
-// contain spaces: everything after the second field is the name.
+// contain spaces: everything after the second field is the name. Lines in
+// the encoders' own shape skip the trimming and re-splitting
+// (parseCanonical); both paths read the value with parseValue.
 func Parse(line string) (Tuple, error) {
+	if t, ok := parseCanonical(line); ok {
+		return t, nil
+	}
 	s := strings.TrimSpace(line)
 	if s == "" {
 		return Tuple{}, fmt.Errorf("tuple: empty line")
@@ -290,7 +285,7 @@ func Parse(line string) (Tuple, error) {
 	if err != nil {
 		return Tuple{}, fmt.Errorf("tuple: %q: bad time: %w", line, err)
 	}
-	v, err := strconv.ParseFloat(valueField, 64)
+	v, err := parseValue(valueField)
 	if err != nil {
 		return Tuple{}, fmt.Errorf("tuple: %q: bad value: %w", line, err)
 	}
