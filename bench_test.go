@@ -679,6 +679,32 @@ func BenchmarkClientSendProbeBatch(b *testing.B) {
 	wg.Wait()
 }
 
+// BenchmarkClientSendFullQueue measures Client.Send through a hub outage:
+// a DialReconnect client whose hub is down, its queue held at the
+// DefaultClientQueueLimit bound, so every sample evicts the oldest. ns/op
+// is per sample; dropping must cost no more than queueing, or the outage
+// the queue exists to ride out would stall the instrumented program.
+func BenchmarkClientSendFullQueue(b *testing.B) {
+	c := netscope.DialReconnect("127.0.0.1:1") // nothing listens: never connects
+	for i := 0; i < netscope.DefaultClientQueueLimit; i++ {
+		if err := c.Send(time.Duration(i)*time.Millisecond, "cps", 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Send(time.Duration(i)*time.Millisecond, "cps", float64(i&0xff)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if d := c.Dropped(); d != int64(b.N) {
+		b.Fatalf("dropped %d of %d samples sent past the bound", d, b.N)
+	}
+	c.Close() //nolint:errcheck // the hub is down: the bounded close flush times out by design
+}
+
 // BenchmarkTraceView measures the tiered-history render query: a window
 // of W samples decimated into 512 columns. Doubling the window eight-fold
 // should leave ns/op roughly flat — the query is O(columns), not

@@ -112,7 +112,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.DurationVar(&cfg.delay, "delay", 200*time.Millisecond, "buffered display delay")
 	fs.DurationVar(&cfg.period, "period", 50*time.Millisecond, "polling period")
 	fs.DurationVar(&cfg.snapshot, "snapshot", netscope.DefaultSnapshotWindow, "history window replayed to new subscribers")
-	fs.IntVar(&cfg.subQueue, "subqueue", netscope.DefaultSubscriberQueueLimit, "per-subscriber outbound queue bound, in tuples")
+	fs.IntVar(&cfg.subQueue, "subqueue", netscope.DefaultSubscriberQueueLimit, "per-subscriber outbound queue bound, in chunks (one per delivered batch)")
 	fs.StringVar(&cfg.pngOut, "png", "", "write the current frame to this PNG periodically")
 	fs.StringVar(&cfg.rec, "record", "", "flight-record the merged stream into this session directory (segmented, bounded)")
 	fs.Int64Var(&cfg.recLimit, "record-limit", 0, "flight-recorder retention budget in bytes (0 = default)")

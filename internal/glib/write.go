@@ -36,15 +36,10 @@ type WriteWatch struct {
 	loop  *Loop
 	w     io.Writer
 	onErr WriteErrFunc
-	limit int
 
 	mu sync.Mutex
 	//gscope:guardedby mu
-	queue []queued
-	// protected counts the queued chunks exempt from drop-oldest,
-	// wherever they sit.
-	//gscope:guardedby mu
-	protected int
+	q DropQueue[[]byte]
 	// closed refuses further sends. Cancel and a failed write also empty
 	// the queue; Finish leaves it for the writer to drain.
 	//gscope:guardedby mu
@@ -66,12 +61,6 @@ type WriteWatch struct {
 	droppedB atomic.Int64
 }
 
-// queued is one chunk awaiting the writer.
-type queued struct {
-	chunk     []byte
-	protected bool
-}
-
 // WatchWriter starts a write watch on w. limit bounds the queue in chunks
 // (non-positive means DefaultWriteQueueLimit). onErr, if non-nil, is
 // delivered on the loop goroutine when a write fails; the underlying writer
@@ -85,7 +74,7 @@ func (l *Loop) WatchWriter(w io.Writer, limit int, onErr WriteErrFunc) *WriteWat
 		loop:  l,
 		w:     w,
 		onErr: onErr,
-		limit: limit,
+		q:     NewDropQueue[[]byte](limit),
 		kick:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
@@ -103,14 +92,11 @@ func (l *Loop) WatchWriter(w io.Writer, limit int, onErr WriteErrFunc) *WriteWat
 //gscope:hotpath
 func (ww *WriteWatch) Send(chunk []byte) bool { return ww.send(chunk, false) }
 
-// SendProtected enqueues a chunk that is exempt from the drop-oldest
-// policy wherever it sits in the queue: it keeps its FIFO place among the
-// regular chunks and counts toward the bound, but is never evicted
-// (handshakes, acks and keepalive replies must reach the peer or the
-// stream is unframed). Protected chunks are capped at the queue limit:
-// once the queue is protected chunks to the bound, nothing is evictable,
-// so the incoming chunk is the one dropped (and counted) — the bound holds
-// even for a caller that protects everything.
+// SendProtected enqueues a chunk exempt from drop-oldest, as a protected
+// DropQueue item: handshakes, acks and keepalive replies must reach the
+// peer or the stream is unframed. It keeps its FIFO place and counts toward
+// the bound; once protected chunks fill the bound, the incoming chunk is
+// the one dropped (and counted).
 //
 //gscope:hotpath
 func (ww *WriteWatch) SendProtected(chunk []byte) bool { return ww.send(chunk, true) }
@@ -125,55 +111,23 @@ func (ww *WriteWatch) send(chunk []byte, protect bool) bool {
 		ww.mu.Unlock()
 		return false
 	}
-	for len(ww.queue) >= ww.limit && len(ww.queue) > ww.protected {
-		ww.evictLocked()
-	}
-	if len(ww.queue) >= ww.limit {
-		// Everything resident is protected: the eviction loop could not
-		// make room, and growing past the limit would let a peer that
-		// never drains (every queued chunk a handshake) hold unbounded
-		// memory. Drop the incoming chunk instead — enqueued-then-dropped
-		// in the byte accounting, so Flushed stays balanced.
-		ww.dropped.Add(1)
-		ww.enqueued.Add(int64(len(chunk)))
-		ww.droppedB.Add(int64(len(chunk)))
-		ww.mu.Unlock()
-		return true
-	}
-	if protect {
-		ww.protected++
-	}
-	ww.queue = append(ww.queue, queued{chunk: chunk, protected: protect})
 	ww.enqueued.Add(int64(len(chunk)))
+	// A dropped chunk, evicted or this one, counts as enqueued and dropped,
+	// so Flushed stays balanced.
+	if dropped, ok := ww.q.Push(chunk, protect); ok {
+		ww.dropped.Add(1)
+		ww.droppedB.Add(int64(len(dropped)))
+	}
 	ww.mu.Unlock()
 	ww.wake()
 	return true
-}
-
-// evictLocked drops the oldest unprotected chunk; the caller holds mu and
-// has checked that one exists.
-//
-//gscope:hotpath
-func (ww *WriteWatch) evictLocked() {
-	i := 0
-	for ww.queue[i].protected {
-		i++
-	}
-	evicted := ww.queue[i].chunk
-	if i == 0 {
-		ww.queue = ww.queue[1:]
-	} else {
-		ww.queue = append(ww.queue[:i], ww.queue[i+1:]...)
-	}
-	ww.dropped.Add(1)
-	ww.droppedB.Add(int64(len(evicted)))
 }
 
 // Queued returns the number of chunks waiting to be written.
 func (ww *WriteWatch) Queued() int {
 	ww.mu.Lock()
 	defer ww.mu.Unlock()
-	return len(ww.queue)
+	return ww.q.Len()
 }
 
 // Sent returns the number of chunks written to the underlying writer.
@@ -213,12 +167,7 @@ func (ww *WriteWatch) Err() error {
 func (ww *WriteWatch) Cancel() {
 	ww.canceled.Store(true)
 	ww.mu.Lock()
-	ww.closed = true
-	for _, q := range ww.queue {
-		ww.droppedB.Add(int64(len(q.chunk)))
-	}
-	ww.queue = nil
-	ww.protected = 0
+	ww.discardLocked(0)
 	ww.mu.Unlock()
 	ww.wake()
 }
@@ -244,40 +193,45 @@ func (ww *WriteWatch) wake() {
 	}
 }
 
+// discardLocked closes the watch and counts the queue, plus n bytes taken
+// but never written, as dropped bytes. The caller holds mu.
+func (ww *WriteWatch) discardLocked(n int64) {
+	ww.closed = true
+	for _, chunk := range ww.q.Take(nil) {
+		n += int64(len(chunk))
+	}
+	ww.droppedB.Add(n)
+}
+
 // Done returns a channel closed when the writer goroutine has exited.
 func (ww *WriteWatch) Done() <-chan struct{} { return ww.done }
 
 func (ww *WriteWatch) writer() {
 	defer close(ww.done)
-	// The queue ping-pongs between two backing arrays: senders fill one
-	// while the writer drains the other, so a steady stream costs no
-	// queue growth.
-	var spare []queued
+	var batch [][]byte
 	for {
 		ww.mu.Lock()
-		batch := ww.queue
-		ww.queue, spare = spare[:0], batch
-		ww.protected = 0
+		batch = ww.q.Take(batch)
 		closed := ww.closed
 		ww.mu.Unlock()
 
 		if len(batch) > 0 {
 			// One write per wake-up: a lone chunk goes out as is, several
 			// are coalesced into a pooled buffer.
-			buf := batch[0].chunk
+			buf := batch[0]
 			var pooled *[]byte
 			if len(batch) > 1 {
 				n := 0
-				for _, q := range batch {
-					n += len(q.chunk)
+				for _, chunk := range batch {
+					n += len(chunk)
 				}
 				pooled = coalesceBufs.Get().(*[]byte)
 				if cap(*pooled) < n {
 					*pooled = make([]byte, 0, n)
 				}
 				buf = (*pooled)[:0]
-				for _, q := range batch {
-					buf = append(buf, q.chunk...)
+				for _, chunk := range batch {
+					buf = append(buf, chunk...)
 				}
 			}
 			_, err := ww.w.Write(buf)
@@ -289,16 +243,10 @@ func (ww *WriteWatch) writer() {
 			if err != nil {
 				ww.errv.Store(err)
 				ww.mu.Lock()
-				ww.closed = true
 				// The failed batch and anything still queued will never
 				// be written; count them dropped so Flushed() (and its
 				// waiters) converge instead of spinning forever.
-				ww.droppedB.Add(n)
-				for _, q := range ww.queue {
-					ww.droppedB.Add(int64(len(q.chunk)))
-				}
-				ww.queue = nil
-				ww.protected = 0
+				ww.discardLocked(n)
 				ww.mu.Unlock()
 				if !ww.canceled.Swap(true) && ww.onErr != nil {
 					ww.loop.Invoke(func() { ww.onErr(err) })
@@ -307,7 +255,6 @@ func (ww *WriteWatch) writer() {
 			}
 			ww.sent.Add(int64(len(batch)))
 			ww.written.Add(n)
-			clear(batch) // the written chunks are the collector's now
 			continue
 		}
 		if closed {

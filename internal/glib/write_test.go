@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"testing"
@@ -332,6 +335,39 @@ func TestWriteWatchQueueDropOldest(t *testing.T) {
 	if got := gw.String(); got != "head\nb\nc\n" {
 		t.Fatalf("wrote %q", got)
 	}
+	ww.Cancel()
+	<-ww.Done()
+}
+
+// TestWriteWatchStalledPeerAllocFree: a peer that never drains holds the
+// queue at its bound, so every send evicts one chunk; that must allocate
+// nothing. MemStats counts exactly, where AllocsPerRun would truncate a
+// few hundred mallocs over 100k sends to zero. The runtime may start a
+// thread inside one window, so the best of three counts; garbage from the
+// queue itself would show in every window.
+func TestWriteWatchStalledPeerAllocFree(t *testing.T) {
+	ww, gw := wedged(t, 1024)
+	chunk := []byte("x\n")
+	for i := 0; i < 4096; i++ { // reach the working array size
+		ww.Send(chunk)
+	}
+	// Keep the collector's own bookkeeping out of the count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	best := uint64(math.MaxUint64)
+	for try := 0; try < 3 && best > 0; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100_000; i++ {
+			ww.Send(chunk)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best != 0 {
+		t.Errorf("%d mallocs over 100k sends to a stalled peer, want 0", best)
+	}
+	close(gw.release)
 	ww.Cancel()
 	<-ww.Done()
 }

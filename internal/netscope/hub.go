@@ -55,7 +55,7 @@ const DefaultSnapshotWindow = 5 * time.Second
 const DefaultSnapshotLimit = 4096
 
 // DefaultSubscriberQueueLimit bounds each subscriber's outbound queue, in
-// tuples, when SetSubscriberQueueLimit is not called.
+// chunks (one per batch), when SetSubscriberQueueLimit is not called.
 const DefaultSubscriberQueueLimit = 1024
 
 // DefaultHandshakeGrace is how long an accepted subscriber connection may
@@ -120,16 +120,15 @@ type subscriber struct {
 	// Sniffing state: the v1 snapshot captured at accept, delta chunks
 	// (shared with live subscribers' queues) delivered while undecided,
 	// and the grace timer that commits silent clients to v1.
-	snap     []byte
-	pend     [][]byte
-	pendDrop int64
-	grace    *time.Timer
+	snap  []byte
+	pend  glib.DropQueue[[]byte]
+	grace *time.Timer
 
 	// Backfilling state: decoded deltas awaiting the flight-log read
 	// (one entry per delivered batch, so the bound and the drop counter
 	// stay in chunk units like every other subscriber queue), and command
 	// lines to run once the activation frames are queued.
-	pendT    [][]tuple.Tuple
+	pendT    glib.DropQueue[[]tuple.Tuple]
 	pendCmds []string
 
 	// v3 binary delivery (docs/WIRE.md). A plain subscription shares the
@@ -163,21 +162,16 @@ func (sub *subscriber) passing(batch []tuple.Tuple) []tuple.Tuple {
 	return sub.tmp
 }
 
-// bufferChunk queues an encoded delta chunk while the protocol version is
-// undecided, bounded like a live queue (drop-oldest, counted).
-func (sub *subscriber) bufferChunk(chunk []byte, limit int) {
-	if len(sub.pend) >= limit {
-		sub.pend = sub.pend[1:]
-		sub.pendDrop++
-	}
-	sub.pend = append(sub.pend, chunk)
+// dropped counts the chunks lost to the subscriber's drop-oldest queues.
+func (sub *subscriber) dropped() int64 {
+	return sub.ww.Dropped() + sub.pend.Dropped() + sub.pendT.Dropped()
 }
 
 // bufferTuples queues one decoded delta batch during an asynchronous
 // backfill, pre-filtered by name (decimation state advances at
 // activation, in order). Bounded drop-oldest in chunks, counted — the
 // same units as the live write queue.
-func (sub *subscriber) bufferTuples(batch []tuple.Tuple, limit int) {
+func (sub *subscriber) bufferTuples(batch []tuple.Tuple) {
 	f := sub.sub.filter
 	var keep []tuple.Tuple
 	for _, t := range batch {
@@ -187,14 +181,9 @@ func (sub *subscriber) bufferTuples(batch []tuple.Tuple, limit int) {
 		}
 		keep = append(keep, t)
 	}
-	if keep == nil {
-		return
+	if keep != nil {
+		sub.pendT.Push(keep, false)
 	}
-	if len(sub.pendT) >= limit {
-		sub.pendT = sub.pendT[1:]
-		sub.pendDrop++
-	}
-	sub.pendT = append(sub.pendT, keep)
 }
 
 // hubState holds the Server's subscriber side. All fields are owned by the
@@ -308,8 +297,8 @@ func (s *Server) SetSnapshotWindow(d time.Duration) {
 }
 
 // SetSubscriberQueueLimit bounds each subscriber's outbound queue in
-// tuples (drop-oldest beyond it). Non-positive selects
-// DefaultSubscriberQueueLimit.
+// chunks, one per delivered batch (drop-oldest beyond it). Non-positive
+// selects DefaultSubscriberQueueLimit.
 func (s *Server) SetSubscriberQueueLimit(n int) { s.hub.queueLimit = n }
 
 // SetHandshakeGrace sets how long an accepted subscriber may stay silent
@@ -437,6 +426,7 @@ func (s *Server) register(conn net.Conn, state subState) *subscriber {
 func (s *Server) subscribeSniff(conn net.Conn) {
 	sub := s.register(conn, subSniffing)
 	sub.snap = s.snapshotChunk()
+	sub.pend = glib.NewDropQueue[[]byte](s.hub.queueLimit)
 	sub.grace = time.AfterFunc(s.hub.grace, func() {
 		s.loop.Invoke(func() { s.promoteV1(sub) })
 	})
@@ -537,10 +527,10 @@ func (s *Server) promoteV1(sub *subscriber) {
 	sub.counted = true
 	s.hub.subscribes++
 	sub.ww.SendProtected(sub.snap)
-	for _, chunk := range sub.pend {
+	for _, chunk := range sub.pend.Take(nil) {
 		sub.ww.Send(chunk)
 	}
-	sub.snap, sub.pend = nil, nil
+	sub.snap = nil
 }
 
 // activateV2 applies an accepted request. Requests needing the flight log
@@ -551,13 +541,15 @@ func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 		sub.grace.Stop()
 	}
 	sub.sub = compileSubscription(req)
-	sub.snap, sub.pend = nil, nil
+	// The activation frames supersede the v1 snapshot and buffered deltas.
+	sub.snap = nil
+	sub.pend.Take(nil)
 	if sub.enc == EncodeText && req.Wire == 3 {
 		sub.enc = EncodeV3
 	}
 
 	if req.Since == 0 || req.NoStream {
-		s.finishV2(sub, 0, nil, "")
+		s.finishV2(sub, 0, nil, "", nil)
 		return
 	}
 	if sub.lateUpgrade {
@@ -567,23 +559,23 @@ func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 		// upgrades get an empty backfill frame instead — a client that
 		// wants the deep window reconnects, winning the handshake race it
 		// lost.
-		s.finishV2(sub, s.resolveSince(req.Since), nil, "late-upgrade")
+		s.finishV2(sub, s.resolveSince(req.Since), nil, "late-upgrade", nil)
 		return
 	}
 	if req.Since < 0 && !s.hub.newestSet {
 		// A trailing window has no anchor before the first live tuple:
 		// serve it empty rather than letting sinceMS=0 spill an attached
 		// flight log's entire (arbitrarily old) recorded history.
-		s.finishV2(sub, 0, nil, "history")
+		s.finishV2(sub, 0, nil, "history", nil)
 		return
 	}
 	sinceMS := s.resolveSince(req.Since)
 	if req.Cols > 0 && s.hub.backfill != nil {
-		s.finishV2(sub, sinceMS, s.decimatedBackfill(sub.sub.filter, sinceMS, req.Cols), "decimated")
+		s.finishV2(sub, sinceMS, s.decimatedBackfill(sub.sub.filter, sinceMS, req.Cols), "decimated", nil)
 		return
 	}
 	if s.historyCovers(sinceMS) || s.flightDir == "" {
-		s.finishV2(sub, sinceMS, s.historyBackfill(sub.sub.filter, sinceMS), "history")
+		s.finishV2(sub, sinceMS, s.historyBackfill(sub.sub.filter, sinceMS), "history", nil)
 		return
 	}
 	// The window predates the retained history: serve it from the flight
@@ -593,6 +585,7 @@ func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 	// trims the backfill where the buffered deltas begin, so the two
 	// sources do not deliver the same tuple twice.
 	sub.state = subBackfilling
+	sub.pendT = glib.NewDropQueue[[]tuple.Tuple](s.hub.queueLimit)
 	cutoffMS := int64(0)
 	if s.hub.newestSet {
 		cutoffMS = s.hub.newestMS
@@ -609,7 +602,8 @@ func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 			if _, ok := s.hub.subs[sub]; !ok || sub.state != subBackfilling {
 				return
 			}
-			if cutoffMS <= 0 && len(sub.pendT) > 0 && len(backfill) > 0 {
+			pend := sub.pendT.Take(nil)
+			if cutoffMS <= 0 && len(pend) > 0 && len(backfill) > 0 {
 				// The read ran unbounded (no live stamp existed at
 				// request time), so it may have caught tuples that were
 				// also broadcast — and buffered — while it ran. Prefer
@@ -618,7 +612,7 @@ func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 				// overlap is already limited to stale-stamped tuples by
 				// the cutoff, and a stale stamp at the head of the
 				// buffer must not be allowed to discard the window.
-				firstPend := sub.pendT[0][0].Time
+				firstPend := pend[0][0].Time
 				kept := backfill[:0]
 				for _, t := range backfill {
 					if t.Time < firstPend {
@@ -627,15 +621,15 @@ func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 				}
 				backfill = kept
 			}
-			s.finishV2(sub, sinceMS, backfill, "reclog")
+			s.finishV2(sub, sinceMS, backfill, "reclog", pend)
 		})
 	}()
 }
 
 // finishV2 queues the v2 activation frames — ack, then backfill or
-// filtered snapshot — flushes any buffered deltas and held commands, and
-// puts the connection live.
-func (s *Server) finishV2(sub *subscriber, sinceMS int64, backfill []tuple.Tuple, source string) {
+// filtered snapshot — flushes the deltas buffered while backfilling (pend)
+// and held commands, and puts the connection live.
+func (s *Server) finishV2(sub *subscriber, sinceMS int64, backfill []tuple.Tuple, source string, pend [][]tuple.Tuple) {
 	sub.state = subLive
 	if !sub.counted {
 		sub.counted = true
@@ -677,16 +671,15 @@ func (s *Server) finishV2(sub *subscriber, sinceMS int64, backfill []tuple.Tuple
 		b = enc.appendControl(b, "snapshot-end")
 	}
 	sub.ww.SendProtected(enc.seal(b))
-	if len(sub.pendT) > 0 && !req.NoStream {
+	if len(pend) > 0 && !req.NoStream {
 		var out []byte
-		for _, chunk := range sub.pendT {
+		for _, chunk := range pend {
 			kept := sub.passing(chunk)
 			out = s.appendTuples(out, sub, kept)
 			sub.filtered += int64(len(chunk) - len(kept))
 		}
 		sub.send(out)
 	}
-	sub.pendT = nil
 	cmds := sub.pendCmds
 	sub.pendCmds = nil
 	for _, line := range cmds {
@@ -796,20 +789,16 @@ func readFlightBackfill(dir string, sinceMS, cutoffMS int64, f *sigFilter) []tup
 	rep.SetSpeed(0)
 	to := time.Duration(cutoffMS) * time.Millisecond
 	rep.SetWindow(time.Duration(sinceMS)*time.Millisecond, to)
-	var out []tuple.Tuple
+	out := glib.NewDropQueue[tuple.Tuple](maxFlightBackfillTuples)
 	rep.Run(func(batch []tuple.Tuple) error { //nolint:errcheck // best-effort read
 		for _, t := range batch {
-			if !f.match(t.Name) {
-				continue
+			if f.match(t.Name) {
+				out.Push(t, false)
 			}
-			if len(out) >= maxFlightBackfillTuples {
-				out = out[1:]
-			}
-			out = append(out, t)
 		}
 		return nil
 	})
-	return out
+	return out.Take(nil)
 }
 
 // snapshotChunk encodes the handshake plus the retained history window as
@@ -851,9 +840,9 @@ func (s *Server) broadcastBatch(batch []tuple.Tuple) {
 	for sub := range s.hub.subs {
 		switch {
 		case sub.state == subSniffing:
-			sub.bufferChunk(s.plainChunk(EncodeText, batch), s.hub.queueLimit)
+			sub.pend.Push(s.plainChunk(EncodeText, batch), false)
 		case sub.state == subBackfilling:
-			sub.bufferTuples(batch, s.hub.queueLimit)
+			sub.bufferTuples(batch)
 		case sub.sub != nil && sub.sub.req.NoStream:
 			// Control-plane-only connections never wanted the stream;
 			// counting their withholdings as Filtered would make the
@@ -1189,9 +1178,9 @@ func (s *Server) unsubscribe(sub *subscriber) {
 		s.hub.unsubscribes++
 	}
 	if sub.enc.web() {
-		s.web.dropped.Add(sub.ww.Dropped() + sub.pendDrop)
+		s.web.dropped.Add(sub.dropped())
 	} else {
-		s.hub.dropped += sub.ww.Dropped() + sub.pendDrop
+		s.hub.dropped += sub.dropped()
 	}
 	s.hub.filtered += sub.filtered
 	sub.ww.Cancel()
@@ -1237,9 +1226,9 @@ func (s *Server) FanoutStats() FanoutStats {
 	}
 	for sub := range s.hub.subs {
 		if sub.enc.web() {
-			st.WebDropped += sub.ww.Dropped() + sub.pendDrop
+			st.WebDropped += sub.dropped()
 		} else {
-			st.Dropped += sub.ww.Dropped() + sub.pendDrop
+			st.Dropped += sub.dropped()
 		}
 		st.Filtered += sub.filtered
 	}
@@ -1259,12 +1248,12 @@ func (s *Server) FanoutStats() FanoutStats {
 }
 
 // SubscriberBacklog returns the total number of chunks queued but not yet
-// taken by the subscribers' writers. Note a taken batch may still be in
-// flight on the socket; SubscriberWritten counts completed writes.
+// taken by the subscribers' writers, deltas buffered mid-handshake included.
+// A taken batch may still be in flight; SubscriberWritten counts writes.
 func (s *Server) SubscriberBacklog() int {
 	n := 0
 	for sub := range s.hub.subs {
-		n += sub.ww.Queued() + len(sub.pend)
+		n += sub.ww.Queued() + sub.pend.Len() + sub.pendT.Len()
 	}
 	return n
 }
@@ -1286,10 +1275,7 @@ func (s *Server) SubscriberWritten() int64 {
 // connection still mid-handshake with buffered deltas is not flushed.
 func (s *Server) SubscribersFlushed() bool {
 	for sub := range s.hub.subs {
-		if !sub.ww.Flushed() {
-			return false
-		}
-		if sub.state != subLive && (len(sub.pend) > 0 || len(sub.pendT) > 0) {
+		if !sub.ww.Flushed() || sub.pend.Len()+sub.pendT.Len() > 0 {
 			return false
 		}
 	}

@@ -1156,3 +1156,32 @@ func TestV2LateUpgradeAckSurvivesStall(t *testing.T) {
 	}
 	t.Fatalf("the late upgrade's ack was evicted; the viewer read %q", lines)
 }
+
+// TestSubscriberBacklogCountsBackfillBuffer: deltas buffered while a v2
+// connection waits on its flight-log read are backlog like any queued
+// chunk, one per delivered batch.
+func TestSubscriberBacklogCountsBackfillBuffer(t *testing.T) {
+	loop := glib.NewLoop(glib.NewVirtualClock(time.Unix(7000, 0)), glib.WithGranularity(0))
+	srv := NewServer(loop)
+	t.Cleanup(func() { srv.Close() })
+	// An empty recording directory: the window predates the (empty)
+	// history, so activation parks on a flight-log read whose completion
+	// never runs, because the loop is not iterated.
+	srv.flightDir = t.TempDir()
+	ours, theirs := net.Pipe()
+	defer ours.Close()
+	if err := srv.SubscribeWith(theirs, SubscriptionRequest{Since: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		srv.Inject(tuple.Tuple{Time: int64(i), Value: 1, Name: "s"})
+	}
+	for sub := range srv.hub.subs {
+		if sub.state != subBackfilling {
+			t.Fatalf("subscriber state %d, want backfilling", sub.state)
+		}
+	}
+	if got := srv.SubscriberBacklog(); got != 3 {
+		t.Fatalf("SubscriberBacklog = %d, want the 3 buffered batches", got)
+	}
+}

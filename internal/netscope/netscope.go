@@ -138,6 +138,7 @@
 package netscope
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -451,11 +452,9 @@ type Client struct {
 	// conn is nil while disconnected in reconnect mode.
 	//gscope:guardedby mu
 	conn net.Conn
+	// q is the send queue, bounded for DialReconnect clients (SetQueueLimit).
 	//gscope:guardedby mu
-	queue []tuple.Tuple
-	// spare is the drained queue returned by the writer for reuse.
-	//gscope:guardedby mu
-	spare []tuple.Tuple
+	q glib.DropQueue[tuple.Tuple]
 	//gscope:guardedby mu
 	probes map[string]*ClientProbe
 	// inflight counts tuples taken by the writer, not yet confirmed written.
@@ -482,16 +481,14 @@ type Client struct {
 	// reconnect-mode state
 	backoffMin time.Duration
 	backoffMax time.Duration
-	// queueLimit > 0 bounds queue with drop-oldest.
-	//gscope:guardedby mu
-	queueLimit int
-	//gscope:guardedby mu
-	dropped int64
 	//gscope:guardedby mu
 	reconnects int64
 
 	done chan struct{}
 }
+
+// errClientClosed is a send's error on a closed client with no writer error.
+var errClientClosed = errors.New("netscope: client closed")
 
 // Reconnect policy defaults used by DialReconnect.
 const (
@@ -531,7 +528,7 @@ func DialReconnect(addr string) *Client {
 		reconnect:  true,
 		backoffMin: DefaultReconnectMin,
 		backoffMax: DefaultReconnectMax,
-		queueLimit: DefaultClientQueueLimit,
+		q:          glib.NewDropQueue[tuple.Tuple](DefaultClientQueueLimit),
 		kick:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
@@ -556,7 +553,7 @@ func (c *Client) SetWireVersion(v int) error {
 }
 
 // writer drains the queue until Close: it takes everything queued and
-// ships it, ping-ponging the queue with the previously drained slice so a
+// ships it, handing the queue the previously drained batch so a
 // steady-state publisher never allocates. Only the shipping differs by
 // transport. A datagram client hands the batch to its dgram.Publisher,
 // which retains its encoder, packet buffer and ring slots the way wbuf is
@@ -571,6 +568,7 @@ func (c *Client) writer() {
 	// re-announces the advisory hello comment.
 	var benc *tuple.BinaryEncoder
 	helloNeeded := true
+	var batch []tuple.Tuple
 	for {
 		c.mu.Lock()
 		conn := c.conn
@@ -582,11 +580,7 @@ func (c *Client) writer() {
 			}
 			nc, err := net.DialTimeout("tcp", c.addr, 5*time.Second)
 			if err != nil {
-				c.sleep(backoff)
-				backoff *= 2
-				if backoff > c.backoffMax {
-					backoff = c.backoffMax
-				}
+				backoff = c.sleep(backoff)
 				continue
 			}
 			// Backoff resets on a successful write, not here: a server
@@ -607,17 +601,8 @@ func (c *Client) writer() {
 			continue
 		}
 
-		batch := c.queue
+		batch = c.q.Take(batch)
 		wire := c.wire
-		if len(batch) > 0 {
-			// Ping-pong the queue with the previously drained slice so a
-			// steady-state publisher never allocates: the sender fills one
-			// buffer while the writer encodes the other. An empty queue
-			// keeps its buffer — swapping it away would shed the retained
-			// capacity on every idle wake-up.
-			c.queue = c.spare[:0]
-			c.spare = nil
-		}
 		c.inflight = len(batch)
 		c.mu.Unlock()
 
@@ -648,19 +633,14 @@ func (c *Client) writer() {
 					c.mu.Lock()
 					c.conn = nil
 					// Requeue the unsent batch ahead of anything
-					// enqueued meanwhile, then re-apply the bound.
-					c.queue = append(batch, c.queue...)
+					// enqueued meanwhile; the bound drops its oldest.
+					c.q.Requeue(batch)
 					c.inflight = 0
-					c.trimLocked()
 					c.mu.Unlock()
 					// Back off before redialing; without this a
 					// crash-looping server whose listener still
 					// accepts would be hammered at full speed.
-					c.sleep(backoff)
-					backoff *= 2
-					if backoff > c.backoffMax {
-						backoff = c.backoffMax
-					}
+					backoff = c.sleep(backoff)
 					continue
 				}
 				c.mu.Lock()
@@ -676,9 +656,6 @@ func (c *Client) writer() {
 			c.mu.Lock()
 			c.sent += int64(len(batch))
 			c.inflight = 0
-			if c.spare == nil {
-				c.spare = batch[:0]
-			}
 			c.mu.Unlock()
 			backoff = c.backoffMin
 			continue
@@ -690,29 +667,25 @@ func (c *Client) writer() {
 	}
 }
 
-// sleep waits for d, or less if a send (or Close) kicks the writer awake.
-func (c *Client) sleep(d time.Duration) {
+// sleep waits for d, or less if a send (or Close) kicks the writer awake,
+// and returns the next backoff: d doubled, capped at backoffMax.
+func (c *Client) sleep(d time.Duration) time.Duration {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-c.kick:
 	}
+	return min(2*d, c.backoffMax)
 }
 
-// trimLocked enforces the queue bound (drop-oldest). The survivors shift
-// down in place — no fresh backing array — so a bounded publisher stays on
-// the zero-allocation path even while dropping. Caller holds mu.
+// wake nudges the writer goroutine without blocking.
 //
 //gscope:hotpath
-func (c *Client) trimLocked() {
-	if c.queueLimit <= 0 {
-		return
-	}
-	if over := len(c.queue) - c.queueLimit; over > 0 {
-		n := copy(c.queue, c.queue[over:])
-		c.queue = c.queue[:n]
-		c.dropped += int64(over)
+func (c *Client) wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -725,24 +698,8 @@ func (c *Client) Send(at time.Duration, name string, v float64) error {
 
 // SendTuple enqueues an encoded tuple.
 func (c *Client) SendTuple(t tuple.Tuple) error {
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("netscope: client closed")
-		}
-		return err
-	}
-	c.queue = append(c.queue, t)
-	c.trimLocked()
-	err := c.err
-	c.mu.Unlock()
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-	return err
+	one := [1]tuple.Tuple{t}
+	return c.SendBatch(one[:])
 }
 
 // SendBatch enqueues a whole batch under one lock acquisition and one
@@ -753,22 +710,16 @@ func (c *Client) SendBatch(batch []tuple.Tuple) error {
 		return nil
 	}
 	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("netscope: client closed")
-		}
-		return err
+	err, closed := c.err, c.closed
+	if !closed {
+		slots := c.q.Extend(len(batch))
+		copy(slots, batch[len(batch)-len(slots):])
 	}
-	c.queue = append(c.queue, batch...)
-	c.trimLocked()
-	err := c.err
 	c.mu.Unlock()
-	select {
-	case c.kick <- struct{}{}:
-	default:
+	if closed && err == nil {
+		return errClientClosed
 	}
+	c.wake()
 	return err
 }
 
@@ -834,24 +785,18 @@ func (c *Client) SendProbeBatch(p *ClientProbe, samples []tuple.Sample) error {
 		return nil
 	}
 	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("netscope: client closed") //gscope:allow hotpath error construction happens only after Close
+	err, closed := c.err, c.closed
+	if !closed {
+		slots := c.q.Extend(len(samples))
+		for i, s := range samples[len(samples)-len(slots):] {
+			slots[i] = tuple.Tuple{Time: s.At.Milliseconds(), Value: s.Value, Name: p.name}
 		}
-		return err
 	}
-	for _, s := range samples {
-		c.queue = append(c.queue, tuple.Tuple{Time: s.At.Milliseconds(), Value: s.Value, Name: p.name})
-	}
-	c.trimLocked()
-	err := c.err
 	c.mu.Unlock()
-	select {
-	case c.kick <- struct{}{}:
-	default:
+	if closed && err == nil {
+		return errClientClosed
 	}
+	c.wake()
 	return err
 }
 
@@ -868,8 +813,7 @@ func (c *Client) Sent() int64 {
 func (c *Client) SetQueueLimit(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.queueLimit = n
-	c.trimLocked()
+	c.q.SetLimit(n)
 }
 
 // Dropped returns the number of tuples discarded by the reconnect queue's
@@ -877,7 +821,7 @@ func (c *Client) SetQueueLimit(n int) {
 func (c *Client) Dropped() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dropped
+	return c.q.Dropped()
 }
 
 // Reconnects returns how many times the background writer has established
@@ -910,7 +854,7 @@ func (c *Client) FlushTimeout(d time.Duration) error { return c.flush(time.Now()
 func (c *Client) flush(deadline time.Time) error {
 	for {
 		c.mu.Lock()
-		empty := len(c.queue) == 0 && c.inflight == 0
+		empty := c.q.Len() == 0 && c.inflight == 0
 		err := c.err
 		closed := c.closed
 		c.mu.Unlock()
@@ -946,10 +890,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	conn := c.conn
 	c.mu.Unlock()
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
+	c.wake()
 	var cerr error
 	if c.reconnect && conn != nil {
 		// The bounded flush may have left a write in flight; sever the

@@ -199,12 +199,13 @@ func TestClientTrimInPlace(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 15", c.Dropped())
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.queue) != 10 {
-		t.Fatalf("queue len %d", len(c.queue))
+	queue := c.q.Take(nil)
+	c.mu.Unlock()
+	if len(queue) != 10 {
+		t.Fatalf("queue len %d", len(queue))
 	}
 	// Drop-oldest: the newest 10 survive, in order.
-	for i, tu := range c.queue {
+	for i, tu := range queue {
 		if tu.Value != float64(15+i) {
 			t.Fatalf("queue[%d] = %+v", i, tu)
 		}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/glib"
 	"repro/internal/tuple"
 )
 
@@ -29,7 +30,7 @@ type Log struct {
 
 	mu sync.Mutex
 	//gscope:guardedby mu
-	queue [][]tuple.Tuple
+	q glib.DropQueue[[]tuple.Tuple]
 	//gscope:guardedby mu
 	flushes []chan error
 	//gscope:guardedby mu
@@ -78,6 +79,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	l := &Log{
 		dir:    dir,
 		opts:   opts.withDefaults(),
+		q:      glib.NewDropQueue[[]tuple.Tuple](opts.withDefaults().QueueLimit),
 		kick:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		sealed: existing,
@@ -119,18 +121,23 @@ func (l *Log) Append(batch []tuple.Tuple) bool {
 		l.mu.Unlock()
 		return false
 	}
-	for len(l.queue) >= l.opts.QueueLimit {
-		l.dropped.Add(int64(len(l.queue[0])))
-		l.queue = l.queue[1:]
+	if dropped, ok := l.q.Push(cp, false); ok {
+		l.dropped.Add(int64(len(dropped)))
 	}
-	l.queue = append(l.queue, cp)
 	l.appended.Add(int64(len(cp)))
 	l.mu.Unlock()
+	l.wake()
+	return true
+}
+
+// wake nudges the writer goroutine without blocking.
+//
+//gscope:hotpath
+func (l *Log) wake() {
 	select {
 	case l.kick <- struct{}{}:
 	default:
 	}
-	return true
 }
 
 // Stats returns lifetime tuple counters: accepted by Append, lost to the
@@ -145,10 +152,7 @@ func (l *Log) Retired() int64 { return l.retired.Load() }
 // Drained reports whether every accepted tuple has been written (or
 // dropped) — the barrier tests use before reopening the session.
 func (l *Log) Drained() bool {
-	l.mu.Lock()
-	queued := len(l.queue)
-	l.mu.Unlock()
-	return queued == 0 && l.appended.Load() == l.written.Load()+l.dropped.Load()
+	return l.appended.Load() == l.written.Load()+l.dropped.Load()
 }
 
 // Flush is a durability barrier for readers of a live session: it returns
@@ -168,10 +172,7 @@ func (l *Log) Flush() error {
 	}
 	l.flushes = append(l.flushes, ack)
 	l.mu.Unlock()
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
+	l.wake()
 	return <-ack
 }
 
@@ -190,10 +191,7 @@ func (l *Log) Close() error {
 	already := l.closed
 	l.closed = true
 	l.mu.Unlock()
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
+	l.wake()
 	if !already {
 		<-l.done
 	}
@@ -204,10 +202,10 @@ func (l *Log) Close() error {
 // active segment, rotates and retires segments.
 func (l *Log) writer() {
 	defer close(l.done)
+	var batches [][]tuple.Tuple
 	for {
 		l.mu.Lock()
-		batches := l.queue
-		l.queue = nil
+		batches = l.q.Take(batches)
 		flushes := l.flushes
 		l.flushes = nil
 		closed := l.closed
@@ -232,16 +230,11 @@ func (l *Log) writer() {
 			return
 		}
 		if closed {
-			l.mu.Lock()
-			empty := len(l.queue) == 0
-			l.mu.Unlock()
-			if empty {
-				if err := l.seal(); err != nil {
-					l.fail(err)
-				}
-				return
+			// Append refuses once closed: this round took the last batches.
+			if err := l.seal(); err != nil {
+				l.fail(err)
 			}
-			continue
+			return
 		}
 		if len(batches) > 0 {
 			continue
@@ -257,10 +250,9 @@ func (l *Log) fail(err error) {
 	l.failed.Store(true)
 	l.mu.Lock()
 	l.closed = true
-	for _, b := range l.queue {
+	for _, b := range l.q.Take(nil) {
 		l.dropped.Add(int64(len(b)))
 	}
-	l.queue = nil
 	flushes := l.flushes
 	l.flushes = nil
 	l.mu.Unlock()

@@ -299,13 +299,11 @@ func TestQueueDropOldest(t *testing.T) {
 	lg.mu.Lock()
 	for i := 0; i < 6; i++ {
 		batch := []tuple.Tuple{{Time: int64(i), Value: float64(i), Name: "x"}}
-		// Inline Append's queue logic under our lock: Append would
-		// deadlock here, so emulate its caller-side path.
-		for len(lg.queue) >= lg.opts.QueueLimit {
-			lg.dropped.Add(int64(len(lg.queue[0])))
-			lg.queue = lg.queue[1:]
+		// Append would deadlock under our lock, so push through the
+		// real queue and count its drops the way Append does.
+		if dropped, ok := lg.q.Push(batch, false); ok {
+			lg.dropped.Add(int64(len(dropped)))
 		}
-		lg.queue = append(lg.queue, batch)
 		lg.appended.Add(1)
 	}
 	lg.mu.Unlock()

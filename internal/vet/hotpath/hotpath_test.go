@@ -101,6 +101,19 @@ func callsHot(r *ring) {
 	r.push(1) // marked callee: fine
 }
 
+type box[T any] struct{ vals []T }
+
+//gscope:hotpath
+func (b *box[T]) put(v T) { b.vals = append(b.vals, v) }
+
+// callsGeneric reaches marked generic code through instantiations, which
+// must resolve to the marked declarations.
+//
+//gscope:hotpath
+func callsGeneric(b *box[int]) {
+	b.put(1) // marked generic method: fine
+}
+
 //gscope:hotpath
 func allowedConv(bs []byte) string {
 	return string(bs) //gscope:allow hotpath fixture: cold error path // allowed ` + "`conversion to string allocates`" + `

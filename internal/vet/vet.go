@@ -119,8 +119,9 @@ func NewModule() *Module {
 
 // FuncKey returns the stable cross-package key for a function object:
 // its FullName, e.g. "repro/internal/tuple.CleanName" or
-// "(*repro/internal/core.Feed).PushID".
-func FuncKey(fn *types.Func) string { return fn.FullName() }
+// "(*repro/internal/core.Feed).PushID". An instantiated generic function
+// or method keys as its generic declaration, where directives live.
+func FuncKey(fn *types.Func) string { return fn.Origin().FullName() }
 
 // FieldKey returns the stable key for a field of a named struct type:
 // "pkgpath.Struct.Field". The second result is false when the owner is

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/glib"
 	"repro/internal/reclog"
 	"repro/internal/tuple"
 )
@@ -145,21 +146,16 @@ func (g *Gateway) querySession(w http.ResponseWriter, r *http.Request, dir strin
 	if from != 0 || to != 0 {
 		rep.SetWindow(from, to)
 	}
-	var out []tuple.Tuple
-	truncated := false
+	kept := glib.NewDropQueue[tuple.Tuple](limit)
 	rep.Run(func(batch []tuple.Tuple) error { //nolint:errcheck // best-effort read of a live session
 		for _, t := range batch {
-			if !matchSignal(patterns, t.Name) {
-				continue
+			if matchSignal(patterns, t.Name) {
+				kept.Push(t, false)
 			}
-			if len(out) >= limit {
-				out = out[1:]
-				truncated = true
-			}
-			out = append(out, t)
 		}
 		return nil
 	})
+	truncated, out := kept.Dropped() > 0, kept.Take(nil)
 
 	w.Header().Set("Content-Type", "application/json")
 	buf := make([]byte, 0, 64+32*len(out))
