@@ -767,7 +767,7 @@ func BenchmarkTupleAppendWire(b *testing.B) {
 // BenchmarkTupleValueCodec times the text codec on one line per value
 // shape: an integer counter, a two-decimal reading, and a full-precision
 // (17-digit) sawtooth value. Short decimals take the exact fast paths;
-// the full row gates what they cost a value that falls back to strconv.
+// the full row gates the Schubfach and Eisel–Lemire kernels behind them.
 func BenchmarkTupleValueCodec(b *testing.B) {
 	for _, c := range []struct {
 		shape string

@@ -590,7 +590,9 @@ func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 	if s.hub.newestSet {
 		cutoffMS = s.hub.newestMS
 	}
-	dir, filter, lg := s.flightDir, sub.sub.filter, s.flight
+	// The read runs on its own goroutine, so it gets its own filter: a
+	// filter's verdict memo belongs to one goroutine.
+	dir, filter, lg := s.flightDir, compileFilter(sub.sub.req.Signals), s.flight
 	go func() {
 		if lg != nil {
 			// Barrier: push the live log's buffered tail to disk so the

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -460,6 +461,74 @@ func TestReconnectClientStartsBeforeServer(t *testing.T) {
 	})
 	if c.Reconnects() != 1 {
 		t.Fatalf("reconnects = %d, want 1", c.Reconnects())
+	}
+}
+
+// TestReconnectBackoffHoldsUnderSends runs a publisher against a hub that
+// accepts every connection and resets it at once: the client must back
+// off between redials however often it sends.
+func TestReconnectBackoffHoldsUnderSends(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int64
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			conn.(*net.TCPConn).SetLinger(0) //nolint:errcheck // a reset, not a clean close, is the point
+			conn.Close()
+		}
+	}()
+	c := DialReconnect(ln.Addr().String())
+	start := time.Now()
+	for i := 0; time.Since(start) < 600*time.Millisecond; i++ {
+		c.Send(time.Duration(i)*time.Microsecond, "x", float64(i)) //nolint:errcheck
+		time.Sleep(50 * time.Microsecond)
+	}
+	n := accepts.Load()
+	c.Close() //nolint:errcheck // the queue cannot drain; the flush times out
+	ln.Close()
+	<-served
+	t.Logf("%d connects in 600 ms", n)
+	// The 50 ms minimum backoff allows about 12 connects in 600 ms.
+	if n > 20 {
+		t.Fatalf("%d connects in 600 ms: sends cut the backoff short", n)
+	}
+}
+
+// TestCloseCutsReconnectBackoffShort closes a client that is waiting out
+// a 5 s backoff after a refused dial.
+func TestCloseCutsReconnectBackoffShort(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	c := &Client{
+		addr:       addr,
+		reconnect:  true,
+		backoffMin: 5 * time.Second,
+		backoffMax: 5 * time.Second,
+		kick:       make(chan struct{}, 1),
+		quit:       make(chan struct{}),
+		done:       make(chan struct{}),
+	}
+	go c.writer()
+	time.Sleep(100 * time.Millisecond) // the dial is refused at once
+	start := time.Now()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v during a backoff", d)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"path"
 	"strings"
 	"sync"
 	"testing"
@@ -1183,5 +1184,36 @@ func TestSubscriberBacklogCountsBackfillBuffer(t *testing.T) {
 	}
 	if got := srv.SubscriberBacklog(); got != 3 {
 		t.Fatalf("SubscriberBacklog = %d, want the 3 buffered batches", got)
+	}
+}
+
+// TestFilterMemoMatchesPathMatch compares the memoised glob verdicts with
+// path.Match over three times more names than the memo holds, twice, so
+// both cached and uncached verdicts are checked.
+func TestFilterMemoMatchesPathMatch(t *testing.T) {
+	patterns := []string{"net.flow?.cwnd", "bench.*", "exact.name", "[ab]*.x"}
+	f := compileFilter(patterns)
+	want := func(name string) bool {
+		for _, p := range patterns {
+			if ok, _ := path.Match(p, name); ok {
+				return true
+			}
+		}
+		return false
+	}
+	names := []string{"exact.name", "exact.name2"}
+	for i := 0; i < 3*maxFilterMemo; i++ {
+		names = append(names, fmt.Sprintf("net.flow%d.cwnd", i%13), fmt.Sprintf("bench.s%d", i),
+			fmt.Sprintf("a%d.x", i), fmt.Sprintf("c%d.x", i))
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, name := range names {
+			if got := f.match(name); got != want(name) {
+				t.Fatalf("pass %d: match(%q) = %v, path.Match %v", pass, name, got, !got)
+			}
+		}
+	}
+	if len(f.verdicts) != maxFilterMemo {
+		t.Fatalf("memo holds %d names, want the bound %d", len(f.verdicts), maxFilterMemo)
 	}
 }

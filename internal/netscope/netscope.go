@@ -461,6 +461,9 @@ type Client struct {
 	//gscope:guardedby mu
 	inflight int
 	kick     chan struct{}
+	// quit is closed by Close: the one event that cuts a reconnect
+	// backoff short.
+	quit chan struct{}
 	//gscope:guardedby mu
 	closed bool
 	//gscope:guardedby mu
@@ -509,6 +512,7 @@ func Dial(addr string) (*Client, error) {
 		addr: addr,
 		conn: conn,
 		kick: make(chan struct{}, 1),
+		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	go c.writer()
@@ -530,6 +534,7 @@ func DialReconnect(addr string) *Client {
 		backoffMax: DefaultReconnectMax,
 		q:          glib.NewDropQueue[tuple.Tuple](DefaultClientQueueLimit),
 		kick:       make(chan struct{}, 1),
+		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 	go c.writer()
@@ -667,14 +672,16 @@ func (c *Client) writer() {
 	}
 }
 
-// sleep waits for d, or less if a send (or Close) kicks the writer awake,
-// and returns the next backoff: d doubled, capped at backoffMax.
+// sleep waits out a reconnect backoff of d, cut short only by Close, and
+// returns the next backoff: d doubled, capped at backoffMax. Sends do not
+// end it: every send kicks the writer, so an active publisher would
+// otherwise redial as fast as its connections fail.
 func (c *Client) sleep(d time.Duration) time.Duration {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-c.kick:
+	case <-c.quit:
 	}
 	return min(2*d, c.backoffMax)
 }
@@ -890,6 +897,9 @@ func (c *Client) Close() error {
 	c.closed = true
 	conn := c.conn
 	c.mu.Unlock()
+	if !already {
+		close(c.quit)
+	}
 	c.wake()
 	var cerr error
 	if c.reconnect && conn != nil {

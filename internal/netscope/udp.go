@@ -31,6 +31,7 @@ func DialUDP(addr string) (*Client, error) {
 		addr: addr,
 		udp:  pub,
 		kick: make(chan struct{}, 1),
+		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	go c.writer()

@@ -258,12 +258,22 @@ func WithWireVersion(v int) SubscribeOption {
 }
 
 // sigFilter is a compiled signal-name filter: exact names hash, glob
-// patterns scan. nil means "match everything".
+// patterns scan. nil means "match everything". A filter is used by one
+// goroutine only (the loop that owns its subscription), which lets match
+// memoise its glob verdicts unlocked.
 type sigFilter struct {
 	exact map[string]struct{}
 	globs []string
 	key   string // canonical signature, for sharing encoded chunks
+	// verdicts memoises the glob verdict per name, for the first
+	// maxFilterMemo names, so a stream's steady state does no
+	// path.Match per tuple. Past the bound names are matched uncached,
+	// so a stream of ever-new names cannot grow it.
+	verdicts map[string]bool
 }
+
+// maxFilterMemo bounds a filter's verdict memo, in names.
+const maxFilterMemo = 1024
 
 // compileFilter builds a filter from request patterns; empty patterns
 // yield nil (match all).
@@ -293,12 +303,25 @@ func (f *sigFilter) match(name string) bool {
 	if _, ok := f.exact[name]; ok {
 		return true
 	}
+	if len(f.globs) == 0 {
+		return false
+	}
+	if v, ok := f.verdicts[name]; ok {
+		return v
+	}
+	v := false
 	for _, g := range f.globs {
-		if ok, _ := path.Match(g, name); ok {
-			return true
+		if v, _ = path.Match(g, name); v {
+			break
 		}
 	}
-	return false
+	if len(f.verdicts) < maxFilterMemo {
+		if f.verdicts == nil {
+			f.verdicts = make(map[string]bool)
+		}
+		f.verdicts[name] = v
+	}
+	return v
 }
 
 // subscription is the hub-side compiled form of a request.

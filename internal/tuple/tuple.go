@@ -40,9 +40,11 @@
 // crafted name with an embedded newline, forge extra tuples. Values
 // round-trip through AppendValue: integral values print without a decimal
 // point, everything else in strconv's shortest 'g' form. Both directions
-// of the value codec take an exact shortcut for short decimals (value.go),
-// so encoding a typical tuple, or parsing its line back, does no strconv
-// float work and allocates nothing.
+// of the value codec are exact and allocation-free without strconv for
+// every plain decimal (1e-4 ≤ |v| < 1e6, up to 19 significant digits):
+// a shortcut for short decimals, then Schubfach and Eisel–Lemire kernels
+// for full-precision values (value.go). strconv is left with values in
+// exponent form, longer fields and ambiguous parses.
 //
 // # Embedded protocols
 //

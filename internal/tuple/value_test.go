@@ -1,8 +1,10 @@
 package tuple
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/big"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,7 +54,7 @@ var valueSeeds = []float64{
 	999999.99, 999999.9999999999, 1e6, 1e6 + 0.5, 1e21, 1e-300,
 	1125899906842623e-10, 1125899906842624e-10, 1125899906842625e-10,
 	112589990684262.3, 0.1125899906842623,
-	1 + 37.0*13/137, 55 + 91.0*449/499, 0.1 + 0.2, 2.0 / 3, 100.0 / 7,
+	1 + 37.0*13/137, 55 + 91.0*449/499, 0.30000000000000004, 2.0 / 3, 100.0 / 7,
 	math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.NaN(),
 	-0.0, math.Copysign(0, -1),
 }
@@ -164,14 +166,16 @@ func TestParseCanonicalCoversEncoderOutput(t *testing.T) {
 
 func TestValueCodecZeroAlloc(t *testing.T) {
 	buf := make([]byte, 0, 64)
-	for _, v := range []float64{42, 519.53, 1 + 37.0*13/137} {
+	for _, v := range []float64{42, 519.53, 1 + 37.0*13/137, 433.53000000000003} {
 		if n := testing.AllocsPerRun(100, func() { buf = AppendValue(buf[:0], v) }); n != 0 {
 			t.Errorf("AppendValue(%v) allocates %.1f times per call", v, n)
 		}
 	}
 	var sink Tuple
-	if n := testing.AllocsPerRun(100, func() { sink, _ = Parse("60000 519.53 net.flow0.cwnd") }); n != 0 {
-		t.Errorf("Parse allocates %.1f times per call", n)
+	for _, line := range []string{"60000 519.53 net.flow0.cwnd", "60000 433.53000000000003 s", "60000 1.540145985401459900 s"} {
+		if n := testing.AllocsPerRun(100, func() { sink, _ = Parse(line) }); n != 0 {
+			t.Errorf("Parse(%q) allocates %.1f times per call", line, n)
+		}
 	}
 	_ = sink
 	batch := []Tuple{{1, 0.5, "a b"}, {2, 3, "a b"}, {3, math.NaN(), "c\"d"}, {4, 1.25, "c\"d"}}
@@ -202,5 +206,135 @@ func TestAppendJSONBatchRunsMatchPerTuple(t *testing.T) {
 	want = append(want, ']')
 	if got := AppendJSONBatch(nil, batch); string(got) != string(want) {
 		t.Fatalf("AppendJSONBatch = %s, want %s", got, want)
+	}
+}
+
+// TestValueCodecSweep checks the kernels on every double in a few windows
+// and on the neighbours of the powers of ten and two that bound their
+// ranges, both signs: AppendValue must equal strconv byte for byte, and
+// parseValue must read back both the shortest form and a 19-digit form
+// bit-equal to strconv.ParseFloat.
+func TestValueCodecSweep(t *testing.T) {
+	checkParse := func(s string) {
+		want, werr := strconv.ParseFloat(s, 64)
+		got, gerr := parseValue(s)
+		if math.Float64bits(got) != math.Float64bits(want) || (gerr == nil) != (werr == nil) {
+			t.Fatalf("parseValue(%q) = %v, %v; strconv %v, %v", s, got, gerr, want, werr)
+		}
+	}
+	var out, long []byte
+	check := func(v float64) {
+		for _, x := range [2]float64{v, -v} {
+			out = AppendValue(out[:0], x)
+			if want := refFormat(x); string(out) != want {
+				t.Fatalf("AppendValue(%b) = %q, want %q", math.Float64bits(x), out, want)
+			}
+			// 18 significant digits, plus a trailing zero where that keeps
+			// the value, give the parser mantissas of up to 19 digits.
+			long = strconv.AppendFloat(long[:0], x, 'g', 18, 64)
+			if bytes.IndexByte(long, '.') >= 0 && bytes.IndexByte(long, 'e') < 0 {
+				long = append(long, '0')
+			}
+			checkParse(string(out))
+			checkParse(string(long))
+		}
+	}
+	neighbours := func(v float64, n int) {
+		lo, hi := v, v
+		check(v)
+		for i := 0; i < n; i++ {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+			check(lo)
+			check(hi)
+		}
+	}
+	windows := []float64{433.53, 1.5401459854014599, 0x1p-13, 1e-4, 999999.99}
+	for _, v := range windows {
+		for i := 0; i < 80000; i++ {
+			check(v)
+			v = math.Nextafter(v, math.Inf(1))
+		}
+	}
+	for k := -5; k <= 6; k++ {
+		neighbours(math.Pow(10, float64(k)), 2000)
+	}
+	for k := -15; k <= 21; k++ {
+		neighbours(math.Ldexp(1, k), 50)
+	}
+	// The short-decimal search takes every power of two before Schubfach
+	// sees it, so the kernel's even-interval shortcut for them is checked
+	// directly.
+	for p := -13; p < 0; p++ {
+		m, k := schubfach(math.Ldexp(1, p))
+		if got, want := string(appendDecimal(nil, false, m, k)), refFormat(math.Ldexp(1, p)); got != want {
+			t.Fatalf("schubfach(2^%d) = %q, want %q", p, got, want)
+		}
+	}
+	// Exact ties: in each binade of the plain range, values whose scaled
+	// form s+½ sits midway between two shortest candidates.
+	for p := -14; p < 20; p++ {
+		e := -flog10pow2(p - 52)
+		for i := 1; i < 400; i += 2 {
+			check(math.Ldexp(1, p) + math.Ldexp(float64(i), -e-1))
+		}
+	}
+	// Parses that Eisel–Lemire must hand to strconv: 16–19 digit integers
+	// halfway between two doubles, and their neighbours, with and without
+	// a zero fraction.
+	for k := 53; k < 63; k++ {
+		for i := int64(1); i < 200; i += 2 {
+			mid := int64(1)<<k + i<<(k-53)
+			for _, d := range [3]int64{mid - 1, mid, mid + 1} {
+				checkParse(strconv.FormatInt(d, 10))
+				checkParse(strconv.FormatInt(d, 10) + ".0")
+			}
+		}
+	}
+}
+
+// TestPow10x128 regenerates the power-of-ten table with math/big: every
+// entry must be ⌊10^e·2^-r⌋ with its top bit at 2^127, and the table must
+// run from exactly the lowest to the highest power the kernels reach.
+func TestPow10x128(t *testing.T) {
+	pow := func(b int64, e int) *big.Rat { // b^e
+		n := new(big.Int).Exp(big.NewInt(b), big.NewInt(int64(max(e, -e))), nil)
+		if e < 0 {
+			return new(big.Rat).SetFrac(big.NewInt(1), n)
+		}
+		return new(big.Rat).SetInt(n)
+	}
+	between := func(x *big.Rat, k int) bool { // 10^k ≤ x < 10^(k+1)
+		return pow(10, k).Cmp(x) <= 0 && x.Cmp(pow(10, k+1)) < 0
+	}
+	// The formatter scales by 10^-k for the binary exponents q of the
+	// plain range; the parser by 10^-frac for 0 ≤ frac ≤ maxParseFrac.
+	qmin := int(math.Float64bits(1e-4)>>52) - 1075
+	qmax := int(math.Float64bits(math.Nextafter(1e6, 0))>>52) - 1075
+	fmtLo, fmtHi := math.MaxInt, math.MinInt
+	for q := qmin; q <= qmax; q++ {
+		k := flog10pow2(q)
+		if !between(pow(2, q), k) {
+			t.Errorf("flog10pow2(%d) = %d", q, k)
+		}
+		fmtLo, fmtHi = min(fmtLo, -k), max(fmtHi, -k)
+	}
+	lo, hi := min(fmtLo, -maxParseFrac), max(fmtHi, 0)
+	if last := pow10x128Min + len(pow10x128) - 1; lo != pow10x128Min || hi != last {
+		t.Errorf("table spans 1e%d … 1e%d, kernels reach 1e%d … 1e%d", pow10x128Min, last, lo, hi)
+	}
+	for i, g := range pow10x128 {
+		e := pow10x128Min + i
+		// 10^e·2^(127-f) with f = ⌊log2 10^e⌋ lies in [2^127, 2^128).
+		f := flog2pow10(e)
+		x := new(big.Rat).Mul(pow(10, e), pow(2, 127-f))
+		want := new(big.Int).Quo(x.Num(), x.Denom())
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(g[0]), 64)
+		got.Or(got, new(big.Int).SetUint64(g[1]))
+		if want.BitLen() != 128 || got.Cmp(want) != 0 {
+			t.Errorf("1e%d: table %#x, want %#x (%d bits, flog2pow10 %d)", e, got, want, want.BitLen(), f)
+		}
+		if e >= fmtLo && e <= fmtHi && g[1] == math.MaxUint64 {
+			t.Errorf("1e%d: the formatter's +1 would carry out of the low word", e)
+		}
 	}
 }
