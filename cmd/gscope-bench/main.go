@@ -8,19 +8,11 @@
 // Usage:
 //
 //	gscope-bench [-window 400ms] [-reps 5] [-signals 1,8,16,32]
-//	gscope-bench -ingest [-publishers 8] [-batch 256] [-window 400ms]
-//	gscope-bench -replay [-tuples 1000000] [-batch 256]
 //	gscope-bench -soak 30s [-soak-publishers 4] [-soak-subscribers 8] [-chaos] [-seed 1]
 //
-// The -ingest mode instead measures the sharded feed's ingest throughput:
-// N publisher goroutines pushing per sample, in batches, and through
-// pre-registered probe handles — the experiments behind the CI gate's
-// BenchmarkFeedPushBatch and BenchmarkProbeRecord.
-//
-// The -replay mode measures the flight recorder (internal/reclog): tuples/s
-// appended through the recording queue to sealed segments on disk, and
-// tuples/s drained back out by an as-fast-as-possible replay — the
-// experiment behind BenchmarkRecordAppend and BenchmarkReplayDrain.
+// Feed ingest and flight-recorder throughput are measured by the CI-gated
+// Go benchmarks (BenchmarkFeedPushPerSample, BenchmarkFeedPushBatch,
+// BenchmarkProbeRecord, BenchmarkRecordAppend, BenchmarkReplayDrain).
 //
 // The -soak mode is a correctness harness, not a benchmark: it runs the
 // whole pipeline (publishers → relay tree → hub → subscribers, with the
@@ -35,26 +27,18 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/glib"
 	"repro/internal/loadgen"
-	"repro/internal/reclog"
-	"repro/internal/tuple"
 )
 
 // config is the parsed and validated command line.
 type config struct {
-	window     time.Duration
-	reps       int
-	signals    []int
-	ingest     bool
-	publishers int
-	batch      int
-	replay     bool
-	tuples     int
+	window  time.Duration
+	reps    int
+	signals []int
 
 	soak            time.Duration
 	soakPublishers  int
@@ -70,31 +54,21 @@ func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("gscope-bench", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	var (
-		window     = fs.Duration("window", 400*time.Millisecond, "measurement window per phase")
-		reps       = fs.Int("reps", 5, "repetitions (median taken)")
-		signals    = fs.String("signals", "1,8,16,32", "signal counts for the per-signal sweep")
-		ingest     = fs.Bool("ingest", false, "measure feed ingest throughput instead of CPU overhead")
-		publishers = fs.Int("publishers", 8, "publisher goroutines for -ingest")
-		batch      = fs.Int("batch", 256, "batch size for -ingest and -replay")
-		replay     = fs.Bool("replay", false, "measure flight-recorder record/replay throughput")
-		tuples     = fs.Int("tuples", 1_000_000, "tuples to record for -replay")
-		soak       = fs.Duration("soak", 0, "run the full-pipeline soak for this long (0 disables)")
-		soakPubs   = fs.Int("soak-publishers", 4, "publisher clients for -soak")
-		soakSubs   = fs.Int("soak-subscribers", 8, "subscriber clients for -soak")
-		chaos      = fs.Bool("chaos", false, "degrade the publisher links during -soak (delay, kills, partitions)")
-		seed       = fs.Int64("seed", 1, "randomness seed for -chaos")
+		window   = fs.Duration("window", 400*time.Millisecond, "measurement window per phase")
+		reps     = fs.Int("reps", 5, "repetitions (median taken)")
+		signals  = fs.String("signals", "1,8,16,32", "signal counts for the per-signal sweep")
+		soak     = fs.Duration("soak", 0, "run the full-pipeline soak for this long (0 disables)")
+		soakPubs = fs.Int("soak-publishers", 4, "publisher clients for -soak")
+		soakSubs = fs.Int("soak-subscribers", 8, "subscriber clients for -soak")
+		chaos    = fs.Bool("chaos", false, "degrade the publisher links during -soak (delay, kills, partitions)")
+		seed     = fs.Int64("seed", 1, "randomness seed for -chaos")
 	)
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
 	cfg := config{
-		window:     *window,
-		reps:       *reps,
-		ingest:     *ingest,
-		publishers: *publishers,
-		batch:      *batch,
-		replay:     *replay,
-		tuples:     *tuples,
+		window: *window,
+		reps:   *reps,
 
 		soak:            *soak,
 		soakPublishers:  *soakPubs,
@@ -105,14 +79,8 @@ func parseFlags(args []string) (config, error) {
 	if fs.NArg() > 0 {
 		return config{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if cfg.ingest && cfg.replay {
-		return config{}, fmt.Errorf("-ingest and -replay are mutually exclusive")
-	}
 	if cfg.soak < 0 {
 		return config{}, fmt.Errorf("-soak must be positive, got %s", cfg.soak)
-	}
-	if cfg.soak > 0 && (cfg.ingest || cfg.replay) {
-		return config{}, fmt.Errorf("-soak is mutually exclusive with -ingest and -replay")
 	}
 	if cfg.soak > 0 && cfg.soak < time.Second {
 		return config{}, fmt.Errorf("-soak needs at least 1s to quiesce, got %s", cfg.soak)
@@ -132,15 +100,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.reps < 1 {
 		return config{}, fmt.Errorf("-reps must be at least 1, got %d", cfg.reps)
 	}
-	if cfg.publishers < 1 {
-		return config{}, fmt.Errorf("-publishers must be at least 1, got %d", cfg.publishers)
-	}
-	if cfg.batch < 2 {
-		return config{}, fmt.Errorf("-batch must be at least 2, got %d", cfg.batch)
-	}
-	if cfg.replay && cfg.tuples < 1000 {
-		return config{}, fmt.Errorf("-tuples must be at least 1000, got %d", cfg.tuples)
-	}
 	for _, tok := range strings.Split(*signals, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -152,7 +111,7 @@ func parseFlags(args []string) (config, error) {
 		}
 		cfg.signals = append(cfg.signals, n)
 	}
-	if !cfg.ingest && !cfg.replay && len(cfg.signals) == 0 {
+	if len(cfg.signals) == 0 {
 		return config{}, fmt.Errorf("-signals lists no signal counts")
 	}
 	return cfg, nil
@@ -174,12 +133,6 @@ func main() {
 func runBench(cfg config, out io.Writer) error {
 	if cfg.soak > 0 {
 		return runSoak(cfg, out)
-	}
-	if cfg.ingest {
-		return runIngest(cfg, out)
-	}
-	if cfg.replay {
-		return runReplay(cfg, out)
 	}
 	runOverheadSweep(cfg, out)
 	return nil
@@ -265,146 +218,4 @@ func stopScope(cleanup *func()) func() {
 			*cleanup = nil
 		}
 	}
-}
-
-// runIngest measures tuples/s through the sharded feed for the per-sample,
-// batch, and probe publish paths: publishers push rounds of rising
-// timestamps, the feed is drained between rounds, and only push time is
-// counted.
-func runIngest(cfg config, out io.Writer) error {
-	fmt.Fprintln(out, "gscope feed ingest experiment (sharded batch engine + probes)")
-	fmt.Fprintf(out, "publishers=%d batch=%d window=%s\n\n", cfg.publishers, cfg.batch, cfg.window)
-	perSample := measureIngest(cfg.publishers, 1, cfg.window, false)
-	batched := measureIngest(cfg.publishers, cfg.batch, cfg.window, false)
-	probes := measureIngest(cfg.publishers, 1, cfg.window, true)
-	fmt.Fprintf(out, "  per-sample Push    %12.0f tuples/s\n", perSample)
-	fmt.Fprintf(out, "  PushBatch(%4d)    %12.0f tuples/s   (%.1fx)\n",
-		cfg.batch, batched, batched/perSample)
-	fmt.Fprintf(out, "  Probe.RecordAt     %12.0f tuples/s   (%.1fx)\n",
-		probes, probes/perSample)
-	return nil
-}
-
-// runReplay measures the flight recorder end to end: record n synthetic
-// tuples through the bounded queue into rotated segments, seal, then drain
-// the session back with an as-fast-as-possible replay.
-func runReplay(cfg config, out io.Writer) error {
-	n, batchSize := cfg.tuples, cfg.batch
-	dir, err := os.MkdirTemp("", "gscope-replay-bench")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	fmt.Fprintln(out, "gscope flight-recorder experiment (internal/reclog)")
-	fmt.Fprintf(out, "tuples=%d batch=%d dir=%s\n\n", n, batchSize, dir)
-
-	lg, err := reclog.Open(dir, reclog.Options{QueueLimit: 1 << 16})
-	if err != nil {
-		return err
-	}
-	batch := make([]tuple.Tuple, batchSize)
-	names := []string{"cps", "errps", "tput"}
-	start := time.Now()
-	for i := 0; i < n; i += batchSize {
-		for j := range batch {
-			batch[j] = tuple.Tuple{Time: int64(i + j), Value: float64(j), Name: names[j%3]}
-		}
-		lg.Append(batch)
-	}
-	if err := lg.Close(); err != nil { // Close waits for the disk to drain
-		return err
-	}
-	recSecs := time.Since(start).Seconds()
-	_, dropped, written := lg.Stats()
-
-	sess, err := reclog.OpenSession(dir)
-	if err != nil {
-		return err
-	}
-	rep := reclog.NewReplayer(sess)
-	rep.SetSpeed(0)
-	rep.SetBatch(batchSize)
-	start = time.Now()
-	var drained int64
-	if err := rep.Run(func(b []tuple.Tuple) error {
-		drained += int64(len(b))
-		return nil
-	}); err != nil {
-		return err
-	}
-	repSecs := time.Since(start).Seconds()
-
-	fmt.Fprintf(out, "  record Append      %12.0f tuples/s   (%d written, %d dropped, %d segments)\n",
-		float64(written)/recSecs, written, dropped, len(sess.Segments()))
-	fmt.Fprintf(out, "  replay drain       %12.0f tuples/s   (%d drained)\n",
-		float64(drained)/repSecs, drained)
-	return nil
-}
-
-// measureIngest times one publish shape: per-sample Push (batchSize <= 1,
-// probes false), PushBatch runs, or per-sample Probe.RecordAt (probes
-// true).
-func measureIngest(publishers, batchSize int, window time.Duration, probes bool) float64 {
-	const roundPer = 1 << 11
-	f := core.NewFeed()
-	handles := make([]*core.Probe, publishers)
-	if probes {
-		for g := range handles {
-			p, err := f.Probe(fmt.Sprintf("sig%d", g))
-			if err != nil {
-				panic(err)
-			}
-			handles[g] = p
-		}
-	}
-	var drainBuf []tuple.Tuple
-	base := 0
-	pushed := 0
-	var spent time.Duration
-	for spent < window {
-		start := time.Now()
-		var wg sync.WaitGroup
-		for g := 0; g < publishers; g++ {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				name := fmt.Sprintf("sig%d", g)
-				switch {
-				case probes:
-					p := handles[g]
-					for i := 0; i < roundPer; i++ {
-						p.RecordAt(time.Duration(base+i)*time.Millisecond, float64(i))
-					}
-					p.Flush()
-				case batchSize <= 1:
-					for i := 0; i < roundPer; i++ {
-						f.Push(time.Duration(base+i)*time.Millisecond, name, float64(i))
-					}
-				default:
-					batch := make([]tuple.Tuple, batchSize)
-					for j := range batch {
-						batch[j] = tuple.Tuple{Value: float64(j), Name: name}
-					}
-					for i := 0; i < roundPer; i += batchSize {
-						n := batchSize
-						if roundPer-i < n {
-							n = roundPer - i
-						}
-						for j := 0; j < n; j++ {
-							batch[j].Time = int64(base + i + j)
-						}
-						f.PushBatch(batch[:n])
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		spent += time.Since(start)
-		pushed += roundPer * publishers
-		drainBuf = f.DrainInto(time.Duration(base+roundPer-1)*time.Millisecond, drainBuf[:0])
-		base += roundPer
-	}
-	return float64(pushed) / spent.Seconds()
 }

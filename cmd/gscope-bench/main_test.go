@@ -20,11 +20,8 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if got := cfg.signals; len(got) != 4 || got[0] != 1 || got[3] != 32 {
 		t.Fatalf("signals = %v", got)
 	}
-	if cfg.ingest || cfg.replay {
-		t.Fatalf("mode flags set by default: %+v", cfg)
-	}
-	if cfg.publishers != 8 || cfg.batch != 256 || cfg.tuples != 1_000_000 {
-		t.Fatalf("ingest/replay defaults wrong: %+v", cfg)
+	if cfg.soak != 0 || cfg.chaos {
+		t.Fatalf("soak flags set by default: %+v", cfg)
 	}
 }
 
@@ -45,15 +42,9 @@ func TestParseFlagsRejectsInvalid(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-bogus"}},
 		{"positional argument", []string{"extra"}},
-		{"ingest and replay", []string{"-ingest", "-replay"}},
 		{"zero window", []string{"-window", "0s"}},
 		{"negative window", []string{"-window", "-1s"}},
 		{"zero reps", []string{"-reps", "0"}},
-		{"zero publishers", []string{"-ingest", "-publishers", "0"}},
-		{"batch too small", []string{"-ingest", "-batch", "1"}},
-		{"replay too few tuples", []string{"-replay", "-tuples", "10"}},
-		{"soak and ingest", []string{"-soak", "5s", "-ingest"}},
-		{"soak and replay", []string{"-soak", "5s", "-replay"}},
 		{"negative soak", []string{"-soak", "-5s"}},
 		{"sub-second soak", []string{"-soak", "500ms"}},
 		{"chaos without soak", []string{"-chaos"}},
@@ -115,56 +106,5 @@ func TestSoakSmoke(t *testing.T) {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
 		}
-	}
-}
-
-// TestIngestSmoke runs the -ingest experiment with a tiny window and
-// checks the report shape: all three publish paths measured, with their
-// speedup ratios.
-func TestIngestSmoke(t *testing.T) {
-	cfg, err := parseFlags([]string{"-ingest", "-window", "30ms", "-publishers", "2", "-batch", "64"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := runBench(cfg, &out); err != nil {
-		t.Fatal(err)
-	}
-	report := out.String()
-	for _, want := range []string{
-		"publishers=2 batch=64",
-		"per-sample Push",
-		"PushBatch(  64)",
-		"Probe.RecordAt",
-		"tuples/s",
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-	// Every row must report a positive rate.
-	for _, line := range strings.Split(report, "\n") {
-		if strings.Contains(line, "tuples/s") && strings.Contains(line, " 0 tuples/s") {
-			t.Errorf("zero-rate row: %q", line)
-		}
-	}
-}
-
-// TestReplaySmoke runs the -replay experiment at its minimum size.
-func TestReplaySmoke(t *testing.T) {
-	cfg, err := parseFlags([]string{"-replay", "-tuples", "1000", "-batch", "100"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := runBench(cfg, &out); err != nil {
-		t.Fatal(err)
-	}
-	report := out.String()
-	if !strings.Contains(report, "record Append") || !strings.Contains(report, "replay drain") {
-		t.Fatalf("report incomplete:\n%s", report)
-	}
-	if !strings.Contains(report, "(1000 drained)") {
-		t.Fatalf("replay did not drain everything:\n%s", report)
 	}
 }

@@ -90,10 +90,9 @@ func (s *feedShard) emptied() {
 // immediately and counted, matching the paper's late-data rule.
 //
 // Internally the feed is sharded by signal name with per-shard locks, and
-// the batch entry points (PushBatch, TakeBatch/TakeBatchInto, DrainInto)
-// lock each shard once per batch, so many concurrent publishers scale
-// without contending on a single mutex. The per-sample Push/Take API is a
-// thin wrapper over the same path.
+// the batch entry points (PushBatch, Take, DrainInto) lock each shard once
+// per batch, so many concurrent publishers scale without contending on a
+// single mutex. The per-sample Push is a thin wrapper over the same path.
 type Feed struct {
 	shards [feedShards]feedShard
 
@@ -254,11 +253,6 @@ func (f *Feed) PushBatch(batch []tuple.Tuple) int {
 	return accepted
 }
 
-// Take removes and returns, in timestamp order, every pending sample whose
-// time is at or before upTo. It advances the displayed high-water mark to
-// upTo, so samples for that window arriving later will be dropped.
-func (f *Feed) Take(upTo time.Duration) []tuple.Tuple { return f.TakeBatch(upTo) }
-
 // byTime stable-sorts a backlog that arrived out of time order (rare: it
 // takes a publisher emitting non-monotonic stamps into one shard).
 type byTime []tuple.Tuple
@@ -266,15 +260,6 @@ type byTime []tuple.Tuple
 func (b byTime) Len() int           { return len(b) }
 func (b byTime) Less(i, j int) bool { return b[i].Time < b[j].Time }
 func (b byTime) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
-
-// TakeBatch drains every shard up to upTo and merges the results into one
-// timestamp-ordered batch. Per-signal arrival order is preserved for equal
-// timestamps: samples of one signal live on one shard, shard backlogs keep
-// arrival order, and the merge breaks ties toward the lower shard — the
-// same order a stable sort of the concatenation would produce.
-func (f *Feed) TakeBatch(upTo time.Duration) []tuple.Tuple {
-	return f.TakeBatchInto(upTo, nil)
-}
 
 // takeRuns drains every shard up to upTo, appending each shard's due
 // prefix to dst (one copy, under the shard lock, so concurrent drains are
@@ -344,15 +329,18 @@ func (f *Feed) takeRuns(upTo time.Duration, dst []tuple.Tuple) ([]tuple.Tuple, [
 	return dst, spans, total
 }
 
-// TakeBatchInto is TakeBatch appending into buf (which may be nil), so a
-// steady-state consumer draining in a loop can reuse one buffer. When more
-// than one shard holds due data it still allocates a scratch slice for the
-// k-way time merge; consumers that only need per-signal ordering should
-// use DrainInto, the allocation-free hot path. It returns the extended
-// buffer; an empty drain returns buf unchanged (nil stays nil).
-func (f *Feed) TakeBatchInto(upTo time.Duration, buf []tuple.Tuple) []tuple.Tuple {
-	base := len(buf)
-	buf, spans, total := f.takeRuns(upTo, buf)
+// Take removes and returns, in timestamp order, every pending sample whose
+// time is at or before upTo. It advances the displayed high-water mark to
+// upTo, so samples for that window arriving later will be dropped. Each
+// shard's due prefix is already time-ordered; when more than one shard
+// holds due data they are merged with ties broken toward the lower shard,
+// so per-signal arrival order survives for equal timestamps (samples of
+// one signal live on one shard, and shard backlogs keep arrival order) —
+// the order a stable sort of the concatenation would produce. Consumers
+// that only need per-signal ordering should use DrainInto, the
+// allocation-free hot path.
+func (f *Feed) Take(upTo time.Duration) []tuple.Tuple {
+	buf, spans, total := f.takeRuns(upTo, nil)
 	if total == 0 {
 		return buf
 	}
@@ -365,8 +353,7 @@ func (f *Feed) TakeBatchInto(upTo time.Duration, buf []tuple.Tuple) []tuple.Tupl
 	if nruns == 1 {
 		return buf // a single span is already time-ordered in place
 	}
-	// K-way merge of the sorted spans into a scratch, ties to the lowest
-	// shard index, then copy back over the collected region.
+	// K-way merge of the sorted spans, ties to the lowest shard index.
 	merged := make([]tuple.Tuple, 0, total)
 	var idx [feedShards]int
 	for s := range spans {
@@ -386,11 +373,10 @@ func (f *Feed) TakeBatchInto(upTo time.Duration, buf []tuple.Tuple) []tuple.Tupl
 		merged = append(merged, buf[idx[best]])
 		idx[best]++
 	}
-	copy(buf[base:], merged)
-	return buf
+	return merged
 }
 
-// DrainInto is the scope-consumer drain: like TakeBatchInto it removes and
+// DrainInto is the scope-consumer drain: like Take it removes and
 // returns every due sample appending into buf, but the result is ordered
 // only per signal (each signal's samples in time order, arrival order for
 // ties; how different signals interleave is unspecified), skipping the

@@ -135,9 +135,9 @@ func TestFeedPushBatch(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("PushBatch accepted %d", n)
 	}
-	got := f.TakeBatch(ms(25))
+	got := f.Take(ms(25))
 	if len(got) != 2 || got[0].Time != 10 || got[1].Time != 20 {
-		t.Fatalf("TakeBatch = %+v", got)
+		t.Fatalf("Take = %+v", got)
 	}
 	if f.Pending() != 1 {
 		t.Fatalf("Pending = %d", f.Pending())
@@ -175,7 +175,7 @@ func TestFeedPushBatchEmpty(t *testing.T) {
 
 // Concurrent PushBatch from N goroutines, each owning one signal, must
 // preserve per-signal push order: the tuples of any one signal come out of
-// TakeBatch in exactly the order that signal pushed them.
+// Take in exactly the order that signal pushed them.
 func TestFeedConcurrentPushBatchOrdering(t *testing.T) {
 	const (
 		publishers = 8
@@ -204,7 +204,7 @@ func TestFeedConcurrentPushBatchOrdering(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got := f.TakeBatch(ms(1 << 30))
+	got := f.Take(ms(1 << 30))
 	if len(got) != publishers*batches*batchLen {
 		t.Fatalf("delivered %d of %d", len(got), publishers*batches*batchLen)
 	}

@@ -20,7 +20,7 @@ import (
 const drainAll = time.Duration(1<<42) * time.Millisecond
 
 // FuzzFeedBatchDrain: random batch splits + interleaved drains through
-// Feed.PushBatch/TakeBatch. Every drained batch is time-sorted and at or
+// Feed.PushBatch/Take. Every drained batch is time-sorted and at or
 // under its watermark, and the total drained equals the total accepted.
 func FuzzFeedBatchDrain(f *testing.F) {
 	f.Add([]byte{})
@@ -38,7 +38,7 @@ func FuzzFeedBatchDrain(f *testing.F) {
 				upTo = lastWatermark
 			}
 			lastWatermark = upTo
-			out := feed.TakeBatch(upTo)
+			out := feed.Take(upTo)
 			drained += int64(len(out))
 			for i, tu := range out {
 				if tu.Timestamp() > upTo {
@@ -68,7 +68,7 @@ func FuzzFeedBatchDrain(f *testing.F) {
 		if drained != accepted {
 			t.Fatalf("conservation violated: accepted %d, drained %d", accepted, drained)
 		}
-		if rest := feed.TakeBatch(drainAll); len(rest) != 0 {
+		if rest := feed.Take(drainAll); len(rest) != 0 {
 			t.Fatalf("feed not empty after full drain: %d left", len(rest))
 		}
 	})

@@ -344,7 +344,7 @@ func TestProbesConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-done
-	final := f.TakeBatch(time.Duration(per) * time.Millisecond)
+	final := f.Take(time.Duration(per) * time.Millisecond)
 	drained += len(final)
 	pushed, dropped := f.Stats()
 	if pushed != producers*per {

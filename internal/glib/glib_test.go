@@ -3,7 +3,9 @@ package glib
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -411,20 +413,17 @@ func TestTimeoutAddValidation(t *testing.T) {
 	}
 }
 
-func TestWatchLineBatchesDeliversChunks(t *testing.T) {
+func TestWatchReaderSizeDeliversChunks(t *testing.T) {
 	l, _ := newVirtualLoop(0)
-	var lines []string
-	var batches int
+	var got []byte
+	var calls int
 	var eof atomic.Bool
 	r := strings.NewReader("one\ntwo\nthree\n")
-	l.WatchLineBatches(r, func(batch []string, err error) bool {
-		lines = append(lines, batch...)
-		if len(batch) > 0 {
-			batches++
-		}
+	l.WatchReaderSize(r, 64, func(data []byte, err error) bool {
+		got = append(got, data...)
+		calls++
 		if err == io.EOF {
 			eof.Store(true)
-			return false
 		}
 		return true
 	})
@@ -432,58 +431,22 @@ func TestWatchLineBatchesDeliversChunks(t *testing.T) {
 	for !eof.Load() && time.Now().Before(deadline) {
 		l.Iterate()
 	}
-	if len(lines) != 3 || lines[0] != "one" || lines[2] != "three" {
-		t.Fatalf("lines = %v", lines)
+	if string(got) != "one\ntwo\nthree\n" {
+		t.Fatalf("data = %q", got)
 	}
-	// The whole reader fits one read, so one batch carried all lines.
-	if batches != 1 {
-		t.Fatalf("batches = %d", batches)
-	}
-}
-
-func TestWatchLineBatchesCarriesPartialLines(t *testing.T) {
-	l, _ := newVirtualLoop(0)
-	var lines []string
-	var eof atomic.Bool
-	pr, pw := io.Pipe()
-	l.WatchLineBatches(pr, func(batch []string, err error) bool {
-		lines = append(lines, batch...)
-		if err != nil {
-			eof.Store(true)
-			return false
-		}
-		return true
-	})
-	go func() {
-		// A line split across three writes, a CRLF line, and an
-		// unterminated trailing line that EOF must still deliver.
-		pw.Write([]byte("hel"))         //nolint:errcheck
-		pw.Write([]byte("lo wo"))       //nolint:errcheck
-		pw.Write([]byte("rld\nsec"))    //nolint:errcheck
-		pw.Write([]byte("ond\r\ntail")) //nolint:errcheck
-		pw.Close()
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for !eof.Load() && time.Now().Before(deadline) {
-		l.Iterate()
-	}
-	want := []string{"hello world", "second", "tail"}
-	if len(lines) != len(want) {
-		t.Fatalf("lines = %q", lines)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Fatalf("line %d = %q, want %q", i, lines[i], want[i])
-		}
+	// The whole reader fits one read; the second callback carries EOF, and
+	// the watch ends there even though the callback asked to keep going.
+	if calls != 2 {
+		t.Fatalf("callbacks = %d, want 2", calls)
 	}
 }
 
-func TestWatchLineBatchesCancel(t *testing.T) {
+func TestWatchReaderSizeCancel(t *testing.T) {
 	l, _ := newVirtualLoop(0)
 	var count atomic.Int32
 	pr, pw := io.Pipe()
-	w := l.WatchLineBatches(pr, func(batch []string, err error) bool {
-		count.Add(int32(len(batch)))
+	w := l.WatchReaderSize(pr, 64, func(data []byte, err error) bool {
+		count.Add(1)
 		return true
 	})
 	pw.Write([]byte("a\n")) //nolint:errcheck
@@ -498,10 +461,170 @@ func TestWatchLineBatchesCancel(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if count.Load() != 1 {
-		t.Fatalf("saw %d lines after cancel", count.Load())
+		t.Fatalf("callback ran %d times; want none after cancel", count.Load())
 	}
 	pw.Close()
 	pr.Close()
+}
+
+// TestWatchReaderSizeReleasedOnStoppedLoop: a watch canceled while its
+// dispatch waits on a loop that no longer iterates must release its reader
+// goroutine, and the stale dispatch must not run the callback when the loop
+// does iterate again.
+func TestWatchReaderSizeReleasedOnStoppedLoop(t *testing.T) {
+	l, _ := newVirtualLoop(0)
+	var calls atomic.Int32
+	w := l.WatchReaderSize(strings.NewReader("x"), 8, func([]byte, error) bool {
+		calls.Add(1)
+		return true
+	})
+	waitFor(t, func() bool { return len(l.posted) == 1 })
+	if watchGoroutines() != 1 {
+		t.Fatalf("%d watch goroutines, want the one waiting on its dispatch", watchGoroutines())
+	}
+	w.Cancel()
+	waitFor(t, func() bool { return watchGoroutines() == 0 })
+	l.Iterate()
+	if calls.Load() != 0 {
+		t.Fatalf("callback ran %d times after cancel", calls.Load())
+	}
+}
+
+// watchGoroutines counts the live goroutines that watch constructors called
+// from the calling goroutine have started.
+func watchGoroutines() int {
+	buf := make([]byte, 64)
+	self := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	all := make([]byte, 1<<20)
+	n := 0
+	for _, line := range strings.Split(string(all[:runtime.Stack(all, true)]), "\n") {
+		if strings.HasPrefix(line, "created by repro/internal/glib.(*Loop).Watch") &&
+			strings.HasSuffix(line, " in goroutine "+self) {
+			n++
+		}
+	}
+	return n
+}
+
+// readerFunc adapts a function to io.Reader.
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// TestWatchReaderSizeDispatchAllocFree: a dispatch reuses the watch's done
+// channel and its bound loop callback, so handing one read to the loop
+// allocates nothing. The best of three windows keeps a thread the runtime
+// starts inside one window out of the count.
+func TestWatchReaderSizeDispatchAllocFree(t *testing.T) {
+	l, _ := newVirtualLoop(0)
+	gate := make(chan struct{})
+	r := readerFunc(func(p []byte) (int, error) {
+		if _, ok := <-gate; !ok {
+			return 0, io.EOF
+		}
+		p[0] = 'x'
+		return 1, nil
+	})
+	var n atomic.Int64
+	w := l.WatchReaderSize(r, 64, func(data []byte, err error) bool {
+		n.Add(int64(len(data)))
+		return true
+	})
+	defer w.Cancel()
+	defer close(gate)
+	dispatch := func() {
+		want := n.Load() + 1
+		gate <- struct{}{}
+		for n.Load() < want {
+			l.Iterate()
+			runtime.Gosched()
+		}
+	}
+	dispatch() // warm up
+	best := math.MaxFloat64
+	for try := 0; try < 3 && best > 0; try++ {
+		best = min(best, testing.AllocsPerRun(200, dispatch))
+	}
+	if best != 0 {
+		t.Errorf("%.0f allocations per dispatch, want 0", best)
+	}
+}
+
+func TestWatchAcceptClosesConnAfterCancel(t *testing.T) {
+	l, _ := newVirtualLoop(0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var calls atomic.Int32
+	w := l.WatchAccept(ln, func(conn net.Conn, err error) bool {
+		calls.Add(1)
+		return true
+	})
+	w.Cancel()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	// The watch accepts the connection, finds itself canceled and closes
+	// it: the peer sees EOF rather than a connection held open forever.
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the accepted connection = %v, want EOF", err)
+	}
+	l.Iterate()
+	if calls.Load() != 0 {
+		t.Fatalf("callback ran %d times after cancel", calls.Load())
+	}
+}
+
+// TestWatchAcceptClosesConnPendingAtCancel: a connection whose dispatch is
+// already posted when the watch is canceled is closed by the loop instead
+// of handed to the callback.
+func TestWatchAcceptClosesConnPendingAtCancel(t *testing.T) {
+	l, _ := newVirtualLoop(0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan struct{})
+	var calls atomic.Int32
+	w := l.WatchAccept(acceptNotify{ln, accepted}, func(conn net.Conn, err error) bool {
+		calls.Add(1)
+		return true
+	})
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	<-accepted // accepted and posted to a loop not yet iterated
+	w.Cancel()
+	l.Iterate()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the accepted connection = %v, want EOF", err)
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("callback ran %d times after cancel", calls.Load())
+	}
+}
+
+// acceptNotify signals each successful Accept.
+type acceptNotify struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (a acceptNotify) Accept() (net.Conn, error) {
+	c, err := a.Listener.Accept()
+	if err == nil {
+		a.accepted <- struct{}{}
+	}
+	return c, err
 }
 
 func TestWriteWatchByteAccounting(t *testing.T) {

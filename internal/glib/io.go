@@ -2,10 +2,8 @@ package glib
 
 import (
 	"bufio"
-	"bytes"
 	"io"
 	"net"
-	"strings"
 	"sync/atomic"
 )
 
@@ -27,26 +25,36 @@ type ReadFunc func(data []byte, err error) bool
 // reader. Semantics of err and the return value match ReadFunc.
 type LineFunc func(line string, err error) bool
 
-// LineBatchFunc receives every complete line found in one read chunk —
-// the batch framing used by the streaming hot path, which amortizes one
-// loop dispatch over a whole network read instead of paying it per line.
-// lines is valid only for the duration of the call. Semantics of err and
-// the return value match ReadFunc; the final callback may carry both
-// trailing lines and the terminal error.
-type LineBatchFunc func(lines []string, err error) bool
-
 // AcceptFunc receives connections from a watched listener. A non-nil err
 // means the listener failed or closed and the watch is removed. Return
 // false to stop accepting.
 type AcceptFunc func(conn net.Conn, err error) bool
 
-// IOWatch is a handle to a reader or accept watch.
+// IOWatch is a handle to a reader or accept watch. Its reader goroutine
+// blocks for one event at a time and hands it to the loop with dispatch;
+// the event lives in variables shared by the reader and deliver, so a
+// dispatch allocates nothing.
 type IOWatch struct {
-	cancel atomic.Bool
-	dead   chan struct{}
+	loop    *Loop
+	cancel  atomic.Bool
+	dead    chan struct{}
+	done    chan bool   // deliver's verdict on the event in flight
+	deliver func() bool // runs the callback on the event in flight
+	discard func()      // releases an event a canceled watch will not deliver
+	run     func()      // onLoop, bound once
 }
 
-func newIOWatch() *IOWatch { return &IOWatch{dead: make(chan struct{})} }
+func (l *Loop) newIOWatch(deliver func() bool, discard func()) *IOWatch {
+	w := &IOWatch{
+		loop:    l,
+		dead:    make(chan struct{}),
+		done:    make(chan bool, 1),
+		deliver: deliver,
+		discard: discard,
+	}
+	w.run = w.onLoop
+	return w
+}
 
 // Cancel stops delivering callbacks. The underlying blocking read is not
 // interrupted (close the reader to unblock it), but no further callbacks
@@ -57,18 +65,43 @@ func (w *IOWatch) Cancel() {
 	}
 }
 
-// wait blocks until the invoked callback reports back or the watch is
-// canceled. The cancel arm matters when the watch is abandoned on a loop
-// that has stopped dispatching (a daemon quitting, a test done iterating
-// its virtual clock): the posted callback will never run, and without it
-// the reader goroutine would stay pinned on the channel forever.
-func (w *IOWatch) wait(done <-chan bool) bool {
+// dispatch hands the event in flight to the loop and blocks until deliver
+// reports back. It returns false once the callback asks to stop or the
+// watch is canceled; the reader goroutine must then quit without touching
+// the event again, which is what keeps a callback's data from being
+// overwritten. The cancel arm matters when the watch is abandoned on a
+// loop that has stopped dispatching (a daemon quitting, a test done
+// iterating its virtual clock): the posted callback will never run, and
+// without it the reader goroutine would stay pinned forever. At most one
+// verdict is ever pending, so the one buffered done channel serves every
+// dispatch of the watch.
+func (w *IOWatch) dispatch() bool {
+	if w.cancel.Load() {
+		if w.discard != nil {
+			w.discard()
+		}
+		return false
+	}
+	w.loop.Invoke(w.run)
 	select {
-	case keep := <-done:
+	case keep := <-w.done:
 		return keep
 	case <-w.dead:
 		return false
 	}
+}
+
+// onLoop runs on the loop goroutine for each dispatch.
+func (w *IOWatch) onLoop() {
+	keep := false
+	if !w.cancel.Load() {
+		if keep = w.deliver(); !keep {
+			w.Cancel()
+		}
+	} else if w.discard != nil {
+		w.discard()
+	}
+	w.done <- keep
 }
 
 // WatchReader watches r and invokes fn on the loop goroutine with each chunk
@@ -84,31 +117,16 @@ func (l *Loop) WatchReader(r io.Reader, fn ReadFunc) *IOWatch {
 // callback returns before it reads again, and quits without reading once
 // the watch is canceled, so data is never overwritten while fn can see it.
 func (l *Loop) WatchReaderSize(r io.Reader, size int, fn ReadFunc) *IOWatch {
-	w := newIOWatch()
+	var data []byte
+	var err error
+	w := l.newIOWatch(func() bool { return fn(data, err) && err == nil }, nil)
 	go func() {
 		buf := make([]byte, size)
 		for {
-			n, err := r.Read(buf)
-			if w.cancel.Load() {
-				return
-			}
-			data := buf[:n]
-			done := make(chan bool, 1)
-			l.Invoke(func() {
-				if w.cancel.Load() {
-					done <- false
-					return
-				}
-				keep := fn(data, err)
-				if err != nil {
-					keep = false
-				}
-				if !keep {
-					w.Cancel()
-				}
-				done <- keep
-			})
-			if !w.wait(done) || err != nil {
+			var n int
+			n, err = r.Read(buf)
+			data = buf[:n]
+			if !w.dispatch() || err != nil {
 				return
 			}
 		}
@@ -116,166 +134,48 @@ func (l *Loop) WatchReaderSize(r io.Reader, size int, fn ReadFunc) *IOWatch {
 	return w
 }
 
-// WatchLines watches r and delivers it line-by-line; this is the framing
-// used by the tuple streaming protocol (§3.3).
+// WatchLines watches r and delivers it line-by-line, for line-only
+// channels such as a hub subscriber's command lines, where no byte may be
+// taken for a binary frame. Tuple streams are framed by
+// tuple.StreamDecoder over WatchReaderSize instead.
 func (l *Loop) WatchLines(r io.Reader, fn LineFunc) *IOWatch {
-	w := newIOWatch()
+	var line string
+	var err error
+	w := l.newIOWatch(func() bool { return fn(line, err) && err == nil }, nil)
 	go func() {
 		sc := bufio.NewScanner(r)
 		sc.Buffer(make([]byte, 64*1024), 1024*1024)
 		for sc.Scan() {
-			if w.cancel.Load() {
-				return
-			}
-			line := sc.Text()
-			done := make(chan bool, 1)
-			l.Invoke(func() {
-				if w.cancel.Load() {
-					done <- false
-					return
-				}
-				keep := fn(line, nil)
-				if !keep {
-					w.Cancel()
-				}
-				done <- keep
-			})
-			if !w.wait(done) {
+			line = sc.Text()
+			if !w.dispatch() {
 				return
 			}
 		}
-		err := sc.Err()
+		line, err = "", sc.Err()
 		if err == nil {
 			err = io.EOF
 		}
-		if w.cancel.Load() {
-			return
-		}
-		l.Invoke(func() {
-			if !w.cancel.Load() {
-				fn("", err)
-				w.Cancel()
-			}
-		})
-	}()
-	return w
-}
-
-// maxWatchedLine bounds a single line in a batch watch, matching the
-// line-by-line watch's bufio.Scanner limit.
-const maxWatchedLine = 1024 * 1024
-
-// WatchLineBatches watches r and delivers all complete lines of each read
-// chunk in one callback, so a reader that keeps up with a fast peer pays
-// one loop dispatch per network read rather than per line. A line spanning
-// reads is carried over and delivered with the chunk that completes it; a
-// line longer than the scanner limit ends the watch with an error, like
-// WatchLines. At end of stream any unterminated trailing line is delivered
-// together with the terminal error.
-func (l *Loop) WatchLineBatches(r io.Reader, fn LineBatchFunc) *IOWatch {
-	w := newIOWatch()
-	deliver := func(lines []string, err error) bool {
-		done := make(chan bool, 1)
-		l.Invoke(func() {
-			if w.cancel.Load() {
-				done <- false
-				return
-			}
-			keep := fn(lines, err)
-			if err != nil {
-				keep = false
-			}
-			if !keep {
-				w.Cancel()
-			}
-			done <- keep
-		})
-		return w.wait(done)
-	}
-	go func() {
-		buf := make([]byte, 64*1024)
-		var carry []byte
-		var lines []string
-		for {
-			n, err := r.Read(buf)
-			if w.cancel.Load() {
-				return
-			}
-			data := buf[:n]
-			lines = lines[:0]
-			for {
-				i := bytes.IndexByte(data, '\n')
-				if i < 0 {
-					break
-				}
-				var line string
-				if len(carry) > 0 {
-					carry = append(carry, data[:i]...)
-					line = string(carry)
-					carry = carry[:0]
-				} else {
-					line = string(data[:i])
-				}
-				lines = append(lines, strings.TrimSuffix(line, "\r"))
-				data = data[i+1:]
-			}
-			carry = append(carry, data...)
-			if err == nil && len(carry) > maxWatchedLine {
-				err = bufio.ErrTooLong
-			}
-			if err != nil {
-				if len(carry) > 0 && err == io.EOF {
-					// An unterminated final line is still a line, the
-					// way bufio.Scanner treats it.
-					lines = append(lines, strings.TrimSuffix(string(carry), "\r"))
-				}
-				deliver(lines, err)
-				return
-			}
-			if len(lines) == 0 {
-				continue
-			}
-			if !deliver(lines, nil) {
-				return
-			}
-		}
+		w.dispatch()
 	}()
 	return w
 }
 
 // WatchAccept watches a listener and delivers accepted connections on the
 // loop goroutine, so a single-threaded server (§4.4) can manage all clients
-// without locks.
+// without locks. A connection accepted after the watch is canceled is
+// closed, not leaked.
 func (l *Loop) WatchAccept(ln net.Listener, fn AcceptFunc) *IOWatch {
-	w := newIOWatch()
+	var conn net.Conn
+	var err error
+	w := l.newIOWatch(func() bool { return fn(conn, err) && err == nil }, func() {
+		if conn != nil {
+			conn.Close()
+		}
+	})
 	go func() {
 		for {
-			conn, err := ln.Accept()
-			if w.cancel.Load() {
-				if conn != nil {
-					conn.Close()
-				}
-				return
-			}
-			done := make(chan bool, 1)
-			l.Invoke(func() {
-				if w.cancel.Load() {
-					if conn != nil {
-						conn.Close()
-					}
-					done <- false
-					return
-				}
-				keep := fn(conn, err)
-				if err != nil {
-					keep = false
-				}
-				if !keep {
-					w.Cancel()
-				}
-				done <- keep
-			})
-			if !w.wait(done) || err != nil {
+			conn, err = ln.Accept()
+			if !w.dispatch() || err != nil {
 				return
 			}
 		}

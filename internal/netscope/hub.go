@@ -1316,8 +1316,7 @@ type Subscriber struct {
 	conn  net.Conn
 	watch *glib.IOWatch
 
-	req          *SubscriptionRequest // nil for a pure v1 client
-	clientFilter *sigFilter
+	clientFilter *sigFilter // the requested signals; nil matches every one
 
 	received    atomic.Int64
 	parseErrors atomic.Int64
@@ -1390,9 +1389,14 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 			conn.Close()
 			return nil, fmt.Errorf("netscope: %w", err)
 		}
-		sub.req = &req
 		sub.clientFilter = compileFilter(req.Signals)
 	}
+	// Text and v3 hubs are read the same way: the hub may interleave
+	// binary frames with the text control plane (docs/WIRE.md), and a text
+	// hub simply never sends one. Binary tuples need no pre-ack client
+	// filter: the hub only emits them after (and behind) the wire=3 ack,
+	// which onLine processes in stream order first. A framing error or an
+	// over-long line is terminal (§B7).
 	var batch []tuple.Tuple
 	flush := func() {
 		if len(batch) > 0 {
@@ -1400,7 +1404,16 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 			batch = batch[:0]
 		}
 	}
-	handleLine := func(line string) {
+	count := func(n int64) {
+		sub.received.Add(n)
+		switch {
+		case sub.inSnapshot:
+			sub.snapTuples.Add(n)
+		case sub.inBackfill:
+			sub.backTuples.Add(n)
+		}
+	}
+	onLine := func(line string) {
 		if tuple.IsComment(line) {
 			// Control lines frame the snapshot; deliver what came
 			// before so snapshot accounting stays exact.
@@ -1419,71 +1432,35 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 			// enforce the filter client-side until the ack.
 			return
 		}
-		sub.received.Add(1)
-		switch {
-		case sub.inSnapshot:
-			sub.snapTuples.Add(1)
-		case sub.inBackfill:
-			sub.backTuples.Add(1)
-		}
+		count(1)
 		batch = append(batch, t)
 	}
-	finish := func(err error) {
-		sub.closed = true
-		if fn := sub.closeCallback(); fn != nil {
-			fn(err)
-		}
-		conn.Close()
+	onTuples := func(ts []tuple.Tuple) {
+		count(int64(len(ts)))
+		batch = append(batch, ts...)
 	}
-	if sub.req != nil && sub.req.Wire == 3 {
-		// v3: the hub may answer with binary frames interleaved with the
-		// text control plane, so reads go through the mixed-stream decoder
-		// (docs/WIRE.md). Binary tuples need no pre-ack client filter: the
-		// hub only emits them after (and behind) the wire=3 ack, which
-		// handleLine processes in stream order first. A framing error is
-		// terminal by design (§B7).
-		dec := tuple.NewStreamDecoder()
-		onTuples := func(ts []tuple.Tuple) {
-			for _, t := range ts {
-				sub.received.Add(1)
-				switch {
-				case sub.inSnapshot:
-					sub.snapTuples.Add(1)
-				case sub.inBackfill:
-					sub.backTuples.Add(1)
-				}
-				batch = append(batch, t)
-			}
-		}
-		sub.watch = loop.WatchReaderSize(conn, 64*1024, func(data []byte, err error) bool {
-			batch = batch[:0]
-			ferr := dec.Feed(data, handleLine, onTuples)
-			if err != nil && ferr == nil {
-				dec.Tail(handleLine)
-			}
-			flush()
-			if ferr != nil {
-				sub.parseErrors.Add(1)
-				if err == nil {
-					err = ferr
-				}
-			}
-			if err != nil {
-				finish(err)
-				return false
-			}
-			return true
-		})
-		return sub, nil
-	}
-	sub.watch = loop.WatchLineBatches(conn, func(lines []string, err error) bool {
+	dec := tuple.NewStreamDecoder()
+	sub.watch = loop.WatchReaderSize(conn, 64*1024, func(data []byte, err error) bool {
 		batch = batch[:0]
-		for _, line := range lines {
-			handleLine(line)
+		ferr := dec.Feed(data, onLine, onTuples)
+		if err == io.EOF && ferr == nil {
+			// An unterminated last line is still a line; after a
+			// transport error it may be torn, so it is dropped.
+			dec.Tail(onLine)
 		}
 		flush()
+		if ferr != nil {
+			sub.parseErrors.Add(1)
+			if err == nil {
+				err = ferr
+			}
+		}
 		if err != nil {
-			finish(err)
+			sub.closed = true
+			if fn := sub.closeCallback(); fn != nil {
+				fn(err)
+			}
+			conn.Close()
 			return false
 		}
 		return true

@@ -3,8 +3,10 @@ package netscope
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -591,6 +593,94 @@ func TestSubscribeToBatchReceivesBatches(t *testing.T) {
 			}
 			seq++
 		}
+	}
+}
+
+// fakeHub accepts one subscriber and writes chunks to it with a pause
+// after each, so every chunk arrives as its own read. It then closes the
+// connection, or with hold keeps it open until the test ends.
+func fakeHub(t *testing.T, hold bool, chunks ...string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ended := make(chan struct{})
+	t.Cleanup(func() {
+		close(ended)
+		ln.Close()
+	})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for _, c := range chunks {
+			if _, err := conn.Write([]byte(c)); err != nil {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if hold {
+			<-ended
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// subscribeUntilClosed subscribes to addr and pumps the loop until the
+// subscription ends, returning the tuples received and the close error.
+func subscribeUntilClosed(t *testing.T, addr string) (*Subscriber, []tuple.Tuple, error) {
+	t.Helper()
+	loop := glib.NewLoop(glib.NewVirtualClock(time.Unix(7000, 0)), glib.WithGranularity(0))
+	var got []tuple.Tuple
+	sub, err := SubscribeTo(loop, addr, func(tu tuple.Tuple) { got = append(got, tu) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sub.Close() })
+	var closed bool
+	var cerr error
+	sub.OnClose(func(err error) { closed, cerr = true, err })
+	pump(t, loop, func() bool { return closed })
+	return sub, got, cerr
+}
+
+// TestSubscriberTextFraming: a text hub's tuple line split across reads, a
+// CRLF line and an unterminated last line all reach the subscriber.
+func TestSubscriberTextFraming(t *testing.T) {
+	addr := fakeHub(t, false, "# gscope-hub 1\n10 1.", "5 a\n20 2 b\r", "\n30 3 c")
+	sub, got, err := subscribeUntilClosed(t, addr)
+	if err != io.EOF {
+		t.Fatalf("closed with %v, want EOF", err)
+	}
+	want := []tuple.Tuple{{Time: 10, Value: 1.5, Name: "a"}, {Time: 20, Value: 2, Name: "b"}, {Time: 30, Value: 3, Name: "c"}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+	if received, parseErrors := sub.Stats(); received != 3 || parseErrors != 0 {
+		t.Fatalf("stats = %d received, %d parse errors", received, parseErrors)
+	}
+	if !sub.Handshaken() {
+		t.Fatal("banner not seen")
+	}
+}
+
+// TestSubscriberLineTooLong: a text line past the 1 MiB line bound loses
+// the newline that would resynchronize the stream, so it ends the
+// subscription with an error, after the tuples before it are delivered.
+func TestSubscriberLineTooLong(t *testing.T) {
+	addr := fakeHub(t, true, "10 1 a\n", strings.Repeat("9", 1<<20+1))
+	sub, got, err := subscribeUntilClosed(t, addr)
+	if err == nil || err == io.EOF {
+		t.Fatalf("closed with %v, want a line-length error", err)
+	}
+	if len(got) != 1 || got[0].Name != "a" {
+		t.Fatalf("got %+v, want the tuple before the long line", got)
+	}
+	if received, parseErrors := sub.Stats(); received != 1 || parseErrors != 1 {
+		t.Fatalf("stats = %d received, %d parse errors", received, parseErrors)
 	}
 }
 

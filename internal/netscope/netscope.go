@@ -129,12 +129,14 @@
 // # Batching
 //
 // The whole ingest/fan-out pipeline is batch-oriented: publisher bytes are
-// decoded a read chunk at a time (glib.WatchLineBatches), delivered into
-// attached scopes through the sharded Feed.PushBatch, and broadcast to
-// subscribers as one wire-encoded chunk per batch shared across all their
-// queues. Per-sample APIs (Client.Send, Server.Inject) remain as thin
-// wrappers; Client.SendBatch, Server.InjectBatch and SubscribeToBatch keep
-// the batch shape end to end through chained relays.
+// decoded a read chunk at a time (tuple.StreamDecoder fed by one
+// glib.WatchReaderSize read), delivered into attached scopes through the
+// sharded Feed.PushBatch, and broadcast to subscribers as one wire-encoded
+// chunk per batch shared across all their queues. A Subscriber decodes
+// the hub's stream the same way, text or v3. Per-sample APIs
+// (Client.Send, Server.Inject) remain as thin wrappers; Client.SendBatch,
+// Server.InjectBatch and SubscribeToBatch keep the batch shape end to end
+// through chained relays.
 package netscope
 
 import (

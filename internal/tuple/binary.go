@@ -314,13 +314,14 @@ func (e *BinaryEncoder) AppendBatchReadOnly(dst []byte, batch []Tuple) []byte {
 var errShortFrame = errors.New("short frame")
 
 // StreamDecoder incrementally decodes a mixed text/binary tuple stream
-// from arbitrarily sliced chunks — the inbound half of the v3 wire. Feed
-// dispatches, in stream order, complete text lines to line (newline
-// stripped, one trailing \r trimmed, exactly the framing of
-// glib.WatchLineBatches) and each DATA frame's tuples to batch (the slice
-// is reused across calls). DICT frames update the dictionary invisibly;
-// unknown frame types are skipped by length for forward compatibility
-// (WIRE.md §B2).
+// from arbitrarily sliced chunks. It is the one framer of tuple streams:
+// publisher ingest and the Subscriber feed it each read of a
+// glib.WatchReaderSize watch, and StreamReader (hence Reader) each read of
+// a file or socket. Feed dispatches, in stream order, complete text lines
+// to line (newline stripped, one trailing \r trimmed, lines bounded at
+// 1 MiB) and each DATA frame's tuples to batch (the slice is reused across
+// calls). DICT frames update the dictionary invisibly; unknown frame types
+// are skipped by length for forward compatibility (WIRE.md §B2).
 //
 // Framing errors are sticky and fatal: once Feed returns a non-nil error
 // the stream is undecodable past that point (WIRE.md §B7). Decoded names

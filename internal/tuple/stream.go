@@ -6,14 +6,15 @@ import (
 )
 
 // StreamReader decodes tuples one at a time from a mixed text/binary
-// stream (WIRE.md) on an io.Reader — the file-reading counterpart of
-// StreamDecoder, used by the flight recorder to scan and replay segments
-// regardless of which encoding they were recorded in. Comment lines are
-// skipped. The first data error is sticky: a bad text line surfaces
-// wrapped in ErrBadLine, malformed binary framing in ErrBadFrame, and
-// every subsequent Read repeats it — for an append-only file either one
-// means the readable prefix has ended (a torn tail). An unterminated
-// trailing text line is still decoded; a torn trailing frame is not.
+// stream (WIRE.md) on an io.Reader — the pull counterpart of
+// StreamDecoder, used by Reader and by the flight recorder to scan and
+// replay segments regardless of which encoding they were recorded in.
+// Comment lines are skipped. The first data error is sticky: a bad text
+// line surfaces wrapped in ErrBadLine, malformed binary framing in
+// ErrBadFrame, and every subsequent Read repeats it — for an append-only
+// file either one means the readable prefix has ended (a torn tail). An
+// unterminated trailing text line is still decoded; a torn trailing frame
+// is not.
 type StreamReader struct {
 	r    io.Reader
 	dec  StreamDecoder

@@ -84,9 +84,8 @@ import (
 
 // ErrBadLine tags data-level stream errors from Reader.Read — a line that
 // does not parse, or an out-of-order timestamp in strict mode — so
-// consumers can distinguish bad data (skippable, or a torn tail in an
-// append-only file) from transport/I-O errors, which Read returns unwrapped
-// and which mean the rest of the stream is unreadable.
+// consumers can distinguish bad data (in an append-only file, a torn tail)
+// from transport/I-O errors, which Read returns unwrapped.
 var ErrBadLine = errors.New("bad tuple line")
 
 // ErrBadName tags signal names the textual wire format cannot carry
@@ -358,47 +357,35 @@ func (tw *Writer) Flush() error {
 	return tw.err
 }
 
-// Reader decodes a tuple stream line by line, skipping comments and blank
-// lines.
+// Reader decodes a tuple stream, skipping comments and blank lines. It is a
+// StreamReader with the §3.3 ordering check on top, so it also decodes v3
+// binary frames, and a bad line, a bad frame or an I/O error ends it the
+// way it ends a StreamReader.
 type Reader struct {
-	sc       *bufio.Scanner
+	sr       *StreamReader
 	strict   bool
 	lastTime int64
-	started  bool
-	line     int
+	n        int // tuples returned
 }
 
 // NewReader wraps r. When strict is true, Read rejects tuples whose
 // timestamps go backwards, enforcing the §3.3 ordering requirement.
 func NewReader(r io.Reader, strict bool) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &Reader{sc: sc, strict: strict}
+	return &Reader{sr: NewStreamReader(r), strict: strict}
 }
 
 // Read returns the next tuple, or io.EOF at end of stream.
 func (tr *Reader) Read() (Tuple, error) {
-	for tr.sc.Scan() {
-		tr.line++
-		line := tr.sc.Text()
-		if IsComment(line) {
-			continue
-		}
-		t, err := Parse(line)
-		if err != nil {
-			return Tuple{}, fmt.Errorf("line %d: %w: %w", tr.line, ErrBadLine, err)
-		}
-		if tr.strict && tr.started && t.Time < tr.lastTime {
-			return Tuple{}, fmt.Errorf("line %d: %w: time %d before previous %d", tr.line, ErrBadLine, t.Time, tr.lastTime)
-		}
-		tr.lastTime = t.Time
-		tr.started = true
-		return t, nil
-	}
-	if err := tr.sc.Err(); err != nil {
+	t, err := tr.sr.Read()
+	if err != nil {
 		return Tuple{}, err
 	}
-	return Tuple{}, io.EOF
+	if tr.strict && tr.n > 0 && t.Time < tr.lastTime {
+		return Tuple{}, fmt.Errorf("tuple %d: %w: time %d before previous %d", tr.n+1, ErrBadLine, t.Time, tr.lastTime)
+	}
+	tr.lastTime = t.Time
+	tr.n++
+	return t, nil
 }
 
 // ReadAll consumes the stream and returns every tuple.

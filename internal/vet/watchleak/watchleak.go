@@ -39,12 +39,11 @@ var Analyzer = &vet.Analyzer{
 // constructors holds the FullName of every function returning an owned
 // watch.
 var constructors = map[string]bool{
-	"(*repro/internal/glib.Loop).WatchReader":      true,
-	"(*repro/internal/glib.Loop).WatchReaderSize":  true,
-	"(*repro/internal/glib.Loop).WatchLines":       true,
-	"(*repro/internal/glib.Loop).WatchLineBatches": true,
-	"(*repro/internal/glib.Loop).WatchAccept":      true,
-	"(*repro/internal/glib.Loop).WatchWriter":      true,
+	"(*repro/internal/glib.Loop).WatchReader":     true,
+	"(*repro/internal/glib.Loop).WatchReaderSize": true,
+	"(*repro/internal/glib.Loop).WatchLines":      true,
+	"(*repro/internal/glib.Loop).WatchAccept":     true,
+	"(*repro/internal/glib.Loop).WatchWriter":     true,
 }
 
 func run(pass *vet.Pass) error {
