@@ -874,6 +874,59 @@ func BenchmarkTupleParseBinary(b *testing.B) {
 	}
 }
 
+// BenchmarkTupleParseText is the text-stream analogue of
+// BenchmarkTupleParseBinary: a ~64 KiB runs-shaped chunk of §3.3 lines —
+// one network read's worth — through StreamDecoder.Feed and tuple.Parse.
+// ns/op and allocs/op are per tuple, so the stream's own per-line cost
+// shows here, which BenchmarkTupleParse (starting from a string) never
+// sees. "split" feeds the chunk as two reads cut mid-line, so the carried
+// line is completed from the second read's head.
+func BenchmarkTupleParseText(b *testing.B) {
+	var chunk []byte
+	for k := 0; k < 9; k++ {
+		run := benchTelemetryBatch(256)
+		for j := range run {
+			run[j].Name = fmt.Sprintf("net.flow%d.cwnd", k)
+		}
+		chunk = tuple.AppendWireBatch(chunk, run)
+	}
+	const tuples = 9 * 256
+	for _, tc := range []struct {
+		name string
+		cut  int
+	}{
+		{"whole", len(chunk)},
+		{"split", len(chunk)/2 + 7},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			dec := tuple.NewStreamDecoder()
+			out := make([]tuple.Tuple, 0, tuples)
+			line := func(ln string) {
+				t, err := tuple.Parse(ln)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out = append(out, t)
+			}
+			batch := func([]tuple.Tuple) { b.Fatal("binary frame in a text chunk") }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += tuples {
+				out = out[:0]
+				if err := dec.Feed(chunk[:tc.cut], line, batch); err != nil {
+					b.Fatal(err)
+				}
+				if err := dec.Feed(chunk[tc.cut:], line, batch); err != nil {
+					b.Fatal(err)
+				}
+				if len(out) != tuples {
+					b.Fatalf("decoded %d tuples, want %d", len(out), tuples)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWireBytesPerTuple measures what v3 exists for: wire bandwidth.
 // The same counter-telemetry stream is encoded as text lines and as binary
 // frames (dictionary included); the metrics report bytes/tuple for both

@@ -147,9 +147,6 @@ type scratch struct {
 	keyBuf  []byte
 }
 
-// maxInternedNames mirrors the netscope server's interner bound.
-const maxInternedNames = 4096
-
 // Listen binds a UDP listener on addr and starts a receiver on it.
 func Listen(addr string, release func([]tuple.Tuple), opt Options) (*Receiver, error) {
 	conn, err := net.ListenPacket("udp", addr)
@@ -251,7 +248,8 @@ func (r *Receiver) ingest(pkt []byte, from net.Addr) {
 		r.mu.Unlock()
 		return
 	}
-	r.canonicalize(r.batch)
+	// Buffered batches must not pin the datagram's decode strings.
+	r.intern.CanonicalizeNames(r.batch)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -294,27 +292,6 @@ func (r *Receiver) onLine(line string) {
 }
 
 func (r *Receiver) onTuples(ts []tuple.Tuple) { r.batch = append(r.batch, ts...) }
-
-// canonicalize rewrites names to interned instances so buffered batches
-// do not pin per-datagram dictionary strings (the same trick as the
-// netscope server's ingest).
-func (r *Receiver) canonicalize(batch []tuple.Tuple) {
-	var prev, prevC string
-	for i := range batch {
-		name := batch[i].Name
-		if name == prev {
-			batch[i].Name = prevC
-			continue
-		}
-		prev = name
-		if id, ok := r.intern.Lookup(name); ok {
-			batch[i].Name = r.intern.Name(id)
-		} else if r.intern.Len() < maxInternedNames {
-			batch[i].Name = r.intern.Canonical(name)
-		}
-		prevC = batch[i].Name
-	}
-}
 
 // lookupSource finds or creates the (addr, stream) source. Caller holds mu.
 //

@@ -1398,8 +1398,12 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 	// which onLine processes in stream order first. A framing error or an
 	// over-long line is terminal (§B7).
 	var batch []tuple.Tuple
+	// A viewer's scope keys signals by the names it is handed, so each is
+	// detached from its decode block before delivery.
+	names := tuple.NewInterner()
 	flush := func() {
 		if len(batch) > 0 {
+			names.CanonicalizeNames(batch)
 			fn(batch)
 			batch = batch[:0]
 		}
@@ -1468,9 +1472,11 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 	return sub, nil
 }
 
-// control interprets the hub's '#'-comment framing lines.
+// control interprets the hub's '#'-comment framing lines. The line is
+// cloned first: OnControl users may keep the frame's fields, which would
+// otherwise pin the line's decode block. Control lines are rare.
 func (s *Subscriber) control(line string) {
-	f, ok := tuple.ParseControl(line)
+	f, ok := tuple.ParseControl(strings.Clone(line))
 	if !ok {
 		return
 	}

@@ -142,6 +142,7 @@ package netscope
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -211,39 +212,6 @@ func NewServer(loop *glib.Loop) *Server {
 		loop:    loop,
 		clients: make(map[net.Conn]*glib.IOWatch),
 		intern:  tuple.NewInterner(),
-	}
-}
-
-// maxInternedNames bounds the server's name interner so a hostile
-// publisher inventing names cannot grow it without limit; names past the
-// cap still flow, they just keep their per-line backing arrays.
-const maxInternedNames = 4096
-
-// canonicalizeNames rewrites each tuple's name to the interned instance.
-// Parsed names are substrings of their read chunk: retaining one tuple
-// (snapshot history, feed backlogs, recorder queues) used to pin the whole
-// line's backing array — per tuple, for the life of the retention window.
-// Interning on parse makes every tuple of one signal share a single
-// canonical string and the line buffers die young. Batches are
-// overwhelmingly runs of one signal, so after the first tuple of a run the
-// rewrite is a pointer-equal string compare.
-//
-//gscope:hotpath
-func (s *Server) canonicalizeNames(batch []tuple.Tuple) {
-	var prev, prevC string
-	for i := range batch {
-		name := batch[i].Name
-		if name == prev {
-			batch[i].Name = prevC
-			continue
-		}
-		prev = name
-		if id, ok := s.intern.Lookup(name); ok {
-			batch[i].Name = s.intern.Name(id)
-		} else if s.intern.Len() < maxInternedNames {
-			batch[i].Name = s.intern.Canonical(name) //gscope:allow hotpath interning allocates once per new signal name, not per tuple
-		}
-		prevC = batch[i].Name
 	}
 }
 
@@ -322,7 +290,9 @@ func (s *Server) addClient(conn net.Conn) {
 	w := s.loop.WatchReaderSize(conn, 64*1024, func(data []byte, err error) bool {
 		batch = batch[:0]
 		ferr := dec.Feed(data, onLine, onTuples)
-		if err != nil && ferr == nil {
+		if err == io.EOF && ferr == nil {
+			// An unterminated last line is still a line; after a
+			// transport error it may be torn, so it is dropped.
 			dec.Tail(onLine)
 		}
 		s.received += int64(len(batch))
@@ -359,7 +329,10 @@ func (s *Server) deliverBatch(batch []tuple.Tuple) {
 	if len(batch) == 0 {
 		return
 	}
-	s.canonicalizeNames(batch)
+	// Parsed names are substrings of their decode block: retaining one
+	// tuple (snapshot history, feed backlogs, recorder queues) would pin
+	// the block for the life of the retention window.
+	s.intern.CanonicalizeNames(batch)
 	if s.OnTuple != nil {
 		for _, t := range batch {
 			s.OnTuple(t)

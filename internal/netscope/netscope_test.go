@@ -182,6 +182,57 @@ func TestClientDisconnectCounted(t *testing.T) {
 	})
 }
 
+// publishUnterminated writes a publisher stream whose last line has no
+// newline, waits until the hub has ingested the line before it, closes
+// the connection (abortively with reset), and returns every tuple the
+// hub delivered once it has counted the disconnect.
+func publishUnterminated(t *testing.T, reset bool) []tuple.Tuple {
+	t.Helper()
+	loop, _, srv, addr := rig(t)
+	var got []tuple.Tuple
+	srv.OnTuple = func(tu tuple.Tuple) { got = append(got, tu) }
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("10 1 remote\n20 4")); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, loop, func() bool { return len(got) == 1 })
+	if reset {
+		if err := conn.(*net.TCPConn).SetLinger(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.Close()
+	pump(t, loop, func() bool {
+		_, disc, _, _ := srv.Stats()
+		return disc == 1
+	})
+	return got
+}
+
+// TestPublisherResetDropsTornLine: after a connection reset the carried
+// unterminated line may be torn mid-write, so the hub must not ingest it.
+func TestPublisherResetDropsTornLine(t *testing.T) {
+	got := publishUnterminated(t, true)
+	for _, tu := range got {
+		if tu.Time == 20 {
+			t.Fatalf("ingested torn line as %+v after a reset", tu)
+		}
+	}
+}
+
+// TestPublisherCloseDeliversLastLine: on a clean close an unterminated
+// last line is still a line.
+func TestPublisherCloseDeliversLastLine(t *testing.T) {
+	got := publishUnterminated(t, false)
+	want := []tuple.Tuple{{Time: 10, Value: 1, Name: "remote"}, {Time: 20, Value: 4}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
 func TestDialFailure(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to a closed port should fail")

@@ -112,6 +112,7 @@ func TestServerInternCapStillDelivers(t *testing.T) {
 	defer srv.Close()
 	count := 0
 	srv.OnTuple = func(tu tuple.Tuple) { count++ }
+	const maxInternedNames = 4096 // tuple.Interner.CanonicalizeNames's cap
 	batch := make([]tuple.Tuple, 0, maxInternedNames+10)
 	for i := 0; i < maxInternedNames+10; i++ {
 		batch = append(batch, tuple.Tuple{Time: int64(i), Value: 1, Name: "sig" + string(rune('a'+i%26)) + itoa(i)})

@@ -313,6 +313,15 @@ func (e *BinaryEncoder) AppendBatchReadOnly(dst []byte, batch []Tuple) []byte {
 // errShortFrame signals an incomplete frame still waiting for bytes.
 var errShortFrame = errors.New("short frame")
 
+// lineBlock caps the string Feed converts a run of complete text lines
+// into: Go's largest small-object size class, so a block never becomes a
+// page-rounded large object. A longer line gets a block of its own.
+const lineBlock = 32 << 10
+
+// testHookBlock, set only by this package's tests, sees every line block
+// Feed converts, so tests can check that no kept name points into one.
+var testHookBlock func(block string)
+
 // StreamDecoder incrementally decodes a mixed text/binary tuple stream
 // from arbitrarily sliced chunks. It is the one framer of tuple streams:
 // publisher ingest and the Subscriber feed it each read of a
@@ -330,6 +339,7 @@ var errShortFrame = errors.New("short frame")
 type StreamDecoder struct {
 	names []string
 	carry []byte
+	ends  []int // line ends of the current text run, reused
 	tup   []Tuple
 	err   error
 }
@@ -355,45 +365,91 @@ func (d *StreamDecoder) Reset() {
 // Feed consumes the next chunk of the stream. line and batch are invoked
 // synchronously, in stream order; their arguments are valid only for the
 // duration of the call.
+//
+// The lines of one run of complete text lines (up to 32 KiB) are
+// substrings of one string, so the stream costs one allocation per block
+// rather than one per line. A caller that keeps any part of a line — a
+// parsed tuple's Name, a control frame's fields — must therefore detach
+// it (Interner.CanonicalizeNames, strings.Clone), or the kept substring
+// pins its whole block.
 func (d *StreamDecoder) Feed(data []byte, line func(string), batch func([]Tuple)) error {
 	if d.err != nil {
 		return d.err
 	}
-	buf := data
 	if len(d.carry) > 0 {
 		d.carry = append(d.carry, data...)
-		buf = d.carry
+		data = d.carry
 	}
 	pos := 0
-	for pos < len(buf) {
-		if buf[pos] == FrameMarker {
-			n, err := d.frame(buf[pos:], batch)
-			if err == errShortFrame {
-				break
-			}
-			if err != nil {
-				return d.fail(err)
-			}
-			pos += n
+	for pos < len(data) {
+		var n int
+		var err error
+		if data[pos] == FrameMarker {
+			n, err = d.frame(data[pos:], batch)
 		} else {
-			rel := bytes.IndexByte(buf[pos:], '\n')
-			if rel < 0 {
-				break
-			}
-			ln := buf[pos : pos+rel]
-			if len(ln) > 0 && ln[len(ln)-1] == '\r' {
-				ln = ln[:len(ln)-1]
-			}
-			line(string(ln))
-			pos += rel + 1
+			n, err = d.textRun(data[pos:], line)
 		}
+		if err == errShortFrame {
+			break
+		}
+		if err != nil {
+			return d.fail(err)
+		}
+		if n == 0 {
+			break // an unterminated line
+		}
+		pos += n
 	}
-	rest := buf[pos:]
-	if len(rest) > 0 && rest[0] != FrameMarker && len(rest) > maxStreamLine {
+	rest := data[pos:]
+	if len(rest) > maxStreamLine && rest[0] != FrameMarker {
 		return d.fail(errLineTooLong)
 	}
 	d.carry = append(d.carry[:0], rest...)
 	return nil
+}
+
+// textRun delivers the run of complete text lines at the head of b, up to
+// the next frame, an unterminated line or the block cap, and returns the
+// bytes consumed. Every line of the run is a substring of one string.
+func (d *StreamDecoder) textRun(b []byte, line func(string)) (int, error) {
+	d.ends = d.ends[:0]
+	end := 0
+	var err error
+	for end < len(b) && b[end] != FrameMarker {
+		nl := bytes.IndexByte(b[end:], '\n')
+		if nl < 0 {
+			break
+		}
+		if nl > maxStreamLine {
+			err = errLineTooLong
+			break
+		}
+		if end > 0 && end+nl+1 > lineBlock {
+			break
+		}
+		end += nl + 1
+		d.ends = append(d.ends, end)
+	}
+	if end > 0 {
+		block := string(b[:end])
+		if testHookBlock != nil {
+			testHookBlock(block)
+		}
+		start := 0
+		for _, e := range d.ends {
+			line(trimCR(block[start : e-1]))
+			start = e
+		}
+	}
+	return end, err
+}
+
+// trimCR drops one trailing carriage return, so CRLF streams decode as LF.
+func trimCR(ln string) string {
+	if len(ln) > 0 && ln[len(ln)-1] == '\r' {
+		return ln[:len(ln)-1]
+	}
+	return ln
 }
 
 func (d *StreamDecoder) fail(err error) error {
@@ -418,11 +474,7 @@ func (d *StreamDecoder) TornFrame() bool {
 // incomplete trailing frame is a torn tail and is discarded.
 func (d *StreamDecoder) Tail(line func(string)) {
 	if d.err == nil && len(d.carry) > 0 && d.carry[0] != FrameMarker {
-		ln := d.carry
-		if ln[len(ln)-1] == '\r' {
-			ln = ln[:len(ln)-1]
-		}
-		line(string(ln))
+		line(trimCR(string(d.carry)))
 	}
 	d.carry = d.carry[:0]
 }

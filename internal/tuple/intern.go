@@ -25,15 +25,16 @@ const NoSignal SignalID = -1
 //
 //   - Intern validates once (ValidateName) and is idempotent — the probe
 //     registration step.
-//   - Canonical maps any equal string to the interned instance, letting a
-//     parser drop per-line backing arrays instead of pinning them in
-//     long-lived queues and histories.
+//   - Canonical maps any equal string to the interned instance, and
+//     CanonicalizeNames does so for a batch, letting a decoder drop its
+//     line blocks instead of pinning them in long-lived queues and
+//     histories.
 //   - NameBytes returns the prevalidated " name" suffix AppendWireID
 //     memcpys after the timestamp and value.
 //
 // An Interner is safe for concurrent use. Interned names are never
-// released; callers managing unbounded name spaces should cap growth via
-// Len.
+// released; Canonical stops interning at 4096 names, and callers of
+// Intern managing unbounded name spaces should cap growth via Len.
 type Interner struct {
 	mu sync.RWMutex
 	//gscope:guardedby mu
@@ -94,22 +95,55 @@ func (in *Interner) Lookup(name string) (SignalID, bool) {
 	return id, ok
 }
 
-// Canonical returns the interned instance of name, interning it first if
-// needed, so equal names share one backing array. A name that cannot be
-// interned (invalid, or the interner is full) comes back unchanged — the
-// caller keeps working, just without the sharing.
+// maxCanonicalNames bounds how many names Canonical interns, so a peer
+// inventing names cannot grow an interner without limit.
+const maxCanonicalNames = 4096
+
+// Canonical returns the interned instance of name, interning it first
+// while the interner holds fewer than maxCanonicalNames names, so equal
+// names share one backing array. Past the cap, or for a name that cannot
+// be interned, it returns a copy: either way the result never shares the
+// caller's backing array.
+//
+//gscope:hotpath
 func (in *Interner) Canonical(name string) string {
 	in.mu.RLock()
 	id, ok := in.ids[name]
+	full := len(in.names) >= maxCanonicalNames
+	if ok {
+		name = in.names[id]
+	}
 	in.mu.RUnlock()
 	if ok {
-		return in.Name(id)
-	}
-	id, err := in.Intern(name)
-	if err != nil {
 		return name
 	}
-	return in.Name(id)
+	if !full {
+		if id, err := in.Intern(name); err == nil { //gscope:allow hotpath interning allocates once per new signal name, not per tuple
+			return in.Name(id)
+		}
+	}
+	return strings.Clone(name) //gscope:allow hotpath past the name cap the name is copied so it pins no decode block
+}
+
+// CanonicalizeNames rewrites each tuple's name to its Canonical instance.
+// Decoded names are substrings of their input — a StreamDecoder line
+// shares one string with its whole 32 KiB block — so a kept tuple
+// (snapshot history, feed backlogs, recorder queues, a viewer's signal
+// map) would pin that block. Interning makes every tuple of one signal
+// share a single canonical string and the decode blocks die young.
+// Batches are overwhelmingly runs of one signal, so after the first tuple
+// of a run the rewrite is a string compare; past the cap each run gets
+// its own copy.
+//
+//gscope:hotpath
+func (in *Interner) CanonicalizeNames(batch []Tuple) {
+	var prev, prevC string
+	for i := range batch {
+		if name := batch[i].Name; name != prev {
+			prev, prevC = name, in.Canonical(name)
+		}
+		batch[i].Name = prevC
+	}
 }
 
 // Name returns the canonical name for id, or "" for an unknown ID.

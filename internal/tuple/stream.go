@@ -14,21 +14,23 @@ import (
 // ErrBadFrame, and every subsequent Read repeats it — for an append-only
 // file either one means the readable prefix has ended (a torn tail). An
 // unterminated trailing text line is still decoded; a torn trailing frame
-// is not.
+// is not. Names are interned per reader, so a caller may keep the tuples
+// it reads without pinning decode blocks.
 type StreamReader struct {
-	r    io.Reader
-	dec  StreamDecoder
-	buf  []byte
-	out  []Tuple
-	pos  int
-	line int // text lines seen, for error messages
-	pend error
-	done bool
+	r     io.Reader
+	dec   StreamDecoder
+	names *Interner
+	buf   []byte
+	out   []Tuple
+	pos   int
+	line  int // text lines seen, for error messages
+	pend  error
+	done  bool
 }
 
 // NewStreamReader returns a reader decoding tuples from r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{r: r, buf: make([]byte, 64*1024)}
+	return &StreamReader{r: r, names: NewInterner(), buf: make([]byte, 64*1024)}
 }
 
 // Read returns the next tuple, io.EOF at a clean end of stream, or the
@@ -62,6 +64,7 @@ func (s *StreamReader) Read() (Tuple, error) {
 				s.pend = err
 			}
 		}
+		s.names.CanonicalizeNames(s.out)
 	}
 }
 
