@@ -197,6 +197,10 @@ func parseFlags(args []string) (*config, error) {
 	return cfg, nil
 }
 
+// errRelayClosed reports an upstream connect that finished after the
+// relay closed.
+var errRelayClosed = errors.New("gscoped: relay closed")
+
 // relay is a running gscoped: ingest server, optional local scope, optional
 // fan-out side, optional upstream subscription.
 type relay struct {
@@ -223,6 +227,9 @@ type relay struct {
 
 	upMu sync.Mutex
 	up   *netscope.Subscriber
+	// redials counts running redialUpstream goroutines; cleanup waits
+	// for them.
+	redials sync.WaitGroup
 
 	// statusBuf is the reused render buffer for the -ansi stats line; the
 	// once-a-second repaint appends into it instead of allocating.
@@ -380,33 +387,50 @@ func (r *relay) connectUpstream(first bool) error {
 		return err
 	}
 	up.OnClose(func(err error) {
+		// Under upMu, so cleanup's Wait cannot miss this Add.
+		r.upMu.Lock()
+		defer r.upMu.Unlock()
 		if r.closed.Load() {
 			return
 		}
 		fmt.Fprintf(r.status, "gscoped: upstream %s lost (%v); redialing\n", r.cfg.upstream, err)
+		r.redials.Add(1)
 		go r.redialUpstream()
 	})
+	// cleanup sets closed before it takes upMu to read r.up, so a
+	// subscriber that connects after close is closed here instead.
 	r.upMu.Lock()
-	r.up = up
+	closed := r.closed.Load()
+	if !closed {
+		r.up = up
+	}
 	r.upMu.Unlock()
+	if closed {
+		up.Close()
+		return errRelayClosed
+	}
 	return nil
 }
 
+// redialUpstream retries the upstream with doubling backoff until it
+// connects or the relay closes.
 func (r *relay) redialUpstream() {
+	defer r.redials.Done()
 	backoff := netscope.DefaultReconnectMin
-	for !r.closed.Load() {
-		time.Sleep(backoff)
-		if r.closed.Load() {
+	t := time.NewTimer(backoff)
+	defer t.Stop()
+	for {
+		select {
+		case <-r.stopRC:
 			return
+		case <-t.C:
 		}
 		if err := r.connectUpstream(false); err == nil {
 			fmt.Fprintf(r.status, "gscoped: upstream %s reconnected\n", r.cfg.upstream)
 			return
 		}
-		backoff *= 2
-		if backoff > netscope.DefaultReconnectMax {
-			backoff = netscope.DefaultReconnectMax
-		}
+		backoff = min(2*backoff, netscope.DefaultReconnectMax)
+		t.Reset(backoff)
 	}
 }
 
@@ -560,6 +584,7 @@ func (r *relay) cleanup() {
 	if up != nil {
 		up.Close()
 	}
+	r.redials.Wait()
 	if r.srv != nil {
 		r.srv.Close() // seals the flight-recorder session, if any
 	}

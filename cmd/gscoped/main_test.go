@@ -286,6 +286,78 @@ func TestRelayUpstreamReconnects(t *testing.T) {
 	})
 }
 
+// signalWriter closes seen the first time a write contains want.
+type signalWriter struct {
+	want string
+	once sync.Once
+	seen chan struct{}
+}
+
+func (w *signalWriter) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(w.want)) {
+		w.once.Do(func() { close(w.seen) })
+	}
+	return len(p), nil
+}
+
+// TestRelayCloseDuringRedial closes a chained relay while its upstream
+// redial waits out a backoff step, then lets a redial connect after the
+// close: the relay must leave neither the redial goroutine nor a
+// subscriber behind, and without waiting out the backoff.
+func TestRelayCloseDuringRedial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := parseFlags([]string{"-listen", "127.0.0.1:0", "-subscribers", "127.0.0.1:0",
+		"-upstream", ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRelay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := &signalWriter{want: "redialing", seen: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- r.run(status) }()
+
+	// Drop the upstream for good: every redial is refused at once.
+	up, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	up.Close()
+	select {
+	case <-status.seen:
+	case <-time.After(10 * time.Second):
+		t.Fatal("relay never noticed the upstream loss")
+	}
+	// The backoff doubles from 50 ms, so 1.2 s in the redial is waiting
+	// out its 800 ms or 1.6 s step — longer than the leak check allows.
+	time.Sleep(1200 * time.Millisecond)
+	r.stop()
+	if err := <-done; err != nil {
+		t.Fatalf("relay exited: %v", err)
+	}
+	if err := testutil.CheckLeaksWithin(300 * time.Millisecond); err != nil {
+		t.Fatalf("closing the relay left its redial behind: %v", err)
+	}
+
+	// A redial whose connect completes after the close closes what it
+	// connected (the package's leak check sees its reader otherwise).
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln2.Close()
+	r.cfg.upstream = ln2.Addr().String()
+	if err := r.connectUpstream(false); !errors.Is(err, errRelayClosed) {
+		t.Fatalf("connect after close = %v, want errRelayClosed", err)
+	}
+}
+
 func TestParseFlagsRecordReplay(t *testing.T) {
 	cfg, err := parseFlags([]string{"-replay", "sess", "-subscribers", ":0",
 		"-speed", "0", "-from", "10s", "-to", "20s", "-record-limit", "1048576"})

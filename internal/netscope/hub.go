@@ -590,16 +590,16 @@ func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 	if s.hub.newestSet {
 		cutoffMS = s.hub.newestMS
 	}
-	// The read runs on its own goroutine, so it gets its own filter: a
-	// filter's verdict memo belongs to one goroutine.
-	dir, filter, lg := s.flightDir, compileFilter(sub.sub.req.Signals), s.flight
+	dir, lg := s.flightDir, s.flight
 	go func() {
 		if lg != nil {
 			// Barrier: push the live log's buffered tail to disk so the
 			// window read below can actually see it.
 			lg.Flush() //nolint:errcheck // best-effort; the read copes with gaps
 		}
-		backfill := readFlightBackfill(dir, sinceMS, cutoffMS, filter)
+		// Best-effort: the patterns passed validation already, and a
+		// session that cannot be opened backfills nothing.
+		backfill, _, _ := ReadFlight(dir, req.Signals, sinceMS, cutoffMS, maxFlightBackfillTuples)
 		s.loop.Invoke(func() {
 			if _, ok := s.hub.subs[sub]; !ok || sub.state != subBackfilling {
 				return
@@ -747,52 +747,75 @@ func (s *Server) historyBackfill(f *sigFilter, sinceMS int64) []tuple.Tuple {
 	return out
 }
 
-// decimatedBackfill renders the tiered store's view of [sinceMS, now] for
-// every matching signal: per bucket, its min and max as two tuples (one
-// when they coincide) stamped at the bucket's end time — the min/max
-// envelope a zoomed-out viewer draws, at O(cols) cost per signal.
-func (s *Server) decimatedBackfill(f *sigFilter, sinceMS int64, cols int) []tuple.Tuple {
-	names := make([]string, 0, len(s.hub.backfill))
-	for name := range s.hub.backfill {
+// envelopes walks the tiered store: for every signal passing f, in name
+// order, its non-empty min/max/last buckets over [sinceMS, newest], at
+// most cols per signal — O(cols) per signal. Signals with nothing in the
+// window are left out.
+func (h *hubState) envelopes(f *sigFilter, sinceMS int64, cols int) []SignalView {
+	names := make([]string, 0, len(h.backfill))
+	for name := range h.backfill {
 		if f.match(name) {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	var out []tuple.Tuple
+	var views []SignalView
 	for _, name := range names {
-		for _, bk := range s.hub.backfill[name].ViewSince(sinceMS, cols) {
-			if bk.Count == 0 {
-				continue
+		buckets := h.backfill[name].ViewSince(sinceMS, cols)
+		kept := buckets[:0]
+		for _, bk := range buckets {
+			if bk.Count > 0 {
+				kept = append(kept, bk)
 			}
+		}
+		if len(kept) > 0 {
+			views = append(views, SignalView{Name: name, Buckets: kept})
+		}
+	}
+	return views
+}
+
+// decimatedBackfill flattens the tiered store's envelopes of [sinceMS,
+// now] into tuples: per bucket, its min and max (one tuple, the last
+// value, when they coincide) stamped at the bucket's end time — the
+// min/max envelope a zoomed-out viewer draws.
+func (s *Server) decimatedBackfill(f *sigFilter, sinceMS int64, cols int) []tuple.Tuple {
+	var out []tuple.Tuple
+	for _, v := range s.hub.envelopes(f, sinceMS, cols) {
+		for _, bk := range v.Buckets {
 			if bk.Min == bk.Max {
-				out = append(out, tuple.Tuple{Time: bk.Time, Value: bk.Last, Name: name})
+				out = append(out, tuple.Tuple{Time: bk.Time, Value: bk.Last, Name: v.Name})
 				continue
 			}
 			out = append(out,
-				tuple.Tuple{Time: bk.Time, Value: bk.Min, Name: name},
-				tuple.Tuple{Time: bk.Time, Value: bk.Max, Name: name})
+				tuple.Tuple{Time: bk.Time, Value: bk.Min, Name: v.Name},
+				tuple.Tuple{Time: bk.Time, Value: bk.Max, Name: v.Name})
 		}
 	}
 	return out
 }
 
-// readFlightBackfill reads [sinceMS, cutoffMS] from a flight-recorder
-// session directory, filtered, as fast as possible. Best-effort by design:
-// the session is read while the recorder may still be writing it, so the
-// newest batches (still queued to disk) can be missing. Bounded at
-// maxFlightBackfillTuples, keeping the newest.
-func readFlightBackfill(dir string, sinceMS, cutoffMS int64, f *sigFilter) []tuple.Tuple {
+// ReadFlight reads a flight-recorder session directory's tuples stamped
+// in [fromMS, toMS] (toMS <= 0: unbounded) whose signals match the
+// patterns as a subscription's filter would, keeping the newest limit and
+// reporting whether any were cut. It is the read behind flight-log
+// backfill and the web gateway's session queries, best-effort by design:
+// batches the recorder has not yet written out are missing.
+func ReadFlight(dir string, patterns []string, fromMS, toMS int64, limit int) (ts []tuple.Tuple, truncated bool, err error) {
+	req := SubscriptionRequest{Signals: patterns}
+	if err := req.validate(); err != nil {
+		return nil, false, err
+	}
 	sess, err := reclog.OpenSession(dir)
 	if err != nil {
-		return nil
+		return nil, false, err
 	}
+	f := compileFilter(patterns) // its own: a verdict memo is single-goroutine
 	rep := reclog.NewReplayer(sess)
 	rep.SetSpeed(0)
-	to := time.Duration(cutoffMS) * time.Millisecond
-	rep.SetWindow(time.Duration(sinceMS)*time.Millisecond, to)
-	out := glib.NewDropQueue[tuple.Tuple](maxFlightBackfillTuples)
-	rep.Run(func(batch []tuple.Tuple) error { //nolint:errcheck // best-effort read
+	rep.SetWindow(time.Duration(fromMS)*time.Millisecond, time.Duration(toMS)*time.Millisecond)
+	out := glib.NewDropQueue[tuple.Tuple](limit)
+	rep.Run(func(batch []tuple.Tuple) error { //nolint:errcheck // best-effort read of a live session
 		for _, t := range batch {
 			if f.match(t.Name) {
 				out.Push(t, false)
@@ -800,7 +823,7 @@ func readFlightBackfill(dir string, sinceMS, cutoffMS int64, f *sigFilter) []tup
 		}
 		return nil
 	})
-	return out.Take(nil)
+	return out.Take(nil), out.Dropped() > 0, nil
 }
 
 // snapshotChunk encodes the handshake plus the retained history window as

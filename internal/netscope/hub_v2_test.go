@@ -270,42 +270,52 @@ func TestV2SignalFilter(t *testing.T) {
 }
 
 // TestV2MaxRateDecimation: the hub drops same-signal samples closer than
-// 1/MaxRate, per subscriber, before they ever reach the queue.
+// 1/MaxRate, per subscriber, before they ever reach the queue. A rate so
+// low that its gap overflows int64 milliseconds still decimates: each
+// signal's first sample passes and nothing after it.
 func TestV2MaxRateDecimation(t *testing.T) {
-	loop, srv, _, subAddr := hubRig(t)
-	srv.SetSnapshotWindow(0)
+	for _, tc := range []struct {
+		rate float64
+		want []int64 // delivered stamps per signal
+	}{
+		{100, []int64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}}, // ≥10ms apart
+		{1e-300, []int64{0}},
+	} {
+		t.Run(fmt.Sprint(tc.rate), func(t *testing.T) {
+			loop, srv, _, subAddr := hubRig(t)
+			srv.SetSnapshotWindow(0)
 
-	var mu sync.Mutex
-	var got []tuple.Tuple
-	sub, err := SubscribeTo(loop, subAddr, func(tu tuple.Tuple) {
-		mu.Lock()
-		got = append(got, tu)
-		mu.Unlock()
-	}, WithMaxRate(100)) // ≥10ms between samples of one signal
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	pump(t, loop, func() bool { return srv.Subscribers() == 1 })
+			var mu sync.Mutex
+			got := map[string][]int64{}
+			sub, err := SubscribeTo(loop, subAddr, func(tu tuple.Tuple) {
+				mu.Lock()
+				got[tu.Name] = append(got[tu.Name], tu.Time)
+				mu.Unlock()
+			}, WithMaxRate(tc.rate))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			pump(t, loop, func() bool { return srv.Subscribers() == 1 })
 
-	for i := 0; i < 100; i++ { // 1ms apart: 10x too fast
-		srv.Inject(tuple.Tuple{Time: int64(i), Value: float64(i), Name: "hot"})
-	}
-	pump(t, loop, func() bool { return srv.FanoutStats().Filtered >= 90 })
-	pump(t, loop, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) >= 10
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 10 {
-		t.Fatalf("decimated to %d tuples, want 10", len(got))
-	}
-	for i, tu := range got {
-		if tu.Time != int64(i*10) {
-			t.Fatalf("decimation cadence wrong at %d: %+v", i, tu)
-		}
+			for i := 0; i < 100; i++ { // 1ms apart
+				srv.Inject(tuple.Tuple{Time: int64(i), Value: float64(i), Name: "hot"})
+				srv.Inject(tuple.Tuple{Time: int64(i), Value: float64(i), Name: "cold"})
+			}
+			pump(t, loop, func() bool { return srv.FanoutStats().Filtered >= int64(200-2*len(tc.want)) })
+			pump(t, loop, func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(got["hot"])+len(got["cold"]) >= 2*len(tc.want)
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			for _, name := range []string{"hot", "cold"} {
+				if fmt.Sprint(got[name]) != fmt.Sprint(tc.want) {
+					t.Fatalf("%s delivered at %v, want %v", name, got[name], tc.want)
+				}
+			}
+		})
 	}
 }
 

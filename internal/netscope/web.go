@@ -1,23 +1,24 @@
 package netscope
 
 import (
+	"errors"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/glib"
 )
 
 // This file is the hub's attachment surface for the web gateway
-// (repro/internal/webscope): the listener plumbing, the loop-goroutine
-// read paths the HTTP handlers marshal onto, and the web lane's fan-out
+// (repro/internal/webscope): the listener plumbing, the one loop-goroutine
+// history read the HTTP handlers marshal onto (WebView, over the same
+// tiered-store walk as decimated backfill), and the web lane's fan-out
 // counters. The gateway itself — SSE/WebSocket streaming, the query API,
 // the embedded dashboard — lives in webscope so netscope keeps zero
-// net/http surface beyond this hook.
+// net/http surface beyond this hook; the request grammar, signal filter
+// and flight-log read it uses are the hub's own (wire.go, hub.go).
 
 // WebHandler is what ListenWeb mounts: an http.Handler that can be told
 // to shut down. Close must terminate every in-flight streaming response
@@ -96,53 +97,25 @@ type SignalView struct {
 	Buckets []core.TimedBucket
 }
 
-// WebView renders the tiered backfill store's envelope view of
-// [sinceMS, newest] for every signal matching patterns, at most cols
-// buckets per signal — O(cols) per signal, the same store Since+Cols
-// subscriptions read. A negative sinceMS is a trailing window before the
-// newest stream timestamp, like SubscriptionRequest.Since. Must run on
-// the loop goroutine. Returns nil when the store is disabled
+// ErrNoHistory is WebView's error when the hub keeps no tiered history
 // (SetBackfillRetention was never called).
-func (s *Server) WebView(patterns []string, sinceMS int64, cols int) ([]SignalView, error) {
-	req := SubscriptionRequest{Signals: patterns}
+var ErrNoHistory = errors.New("history disabled: the hub runs without SetBackfillRetention")
+
+// WebView is the web gateway's history read: the envelopes a Since+Cols
+// subscription's backfill is drawn from, for req's signals, window and
+// resolution, plus the newest stream stamp (seen is false before the
+// first tuple). It fails on an invalid req, and with ErrNoHistory when
+// the store is off. Must run on the loop goroutine.
+func (s *Server) WebView(req SubscriptionRequest) (views []SignalView, newestMS int64, seen bool, err error) {
 	if err := req.validate(); err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	if s.hub.backfill == nil {
-		return nil, nil
+		return nil, 0, false, ErrNoHistory
 	}
-	f := compileFilter(patterns)
-	abs := s.resolveSince(time.Duration(sinceMS) * time.Millisecond)
-	names := make([]string, 0, len(s.hub.backfill))
-	for name := range s.hub.backfill {
-		if f.match(name) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	views := make([]SignalView, 0, len(names))
-	for _, name := range names {
-		buckets := s.hub.backfill[name].ViewSince(abs, cols)
-		kept := buckets[:0]
-		for _, bk := range buckets {
-			if bk.Count > 0 {
-				kept = append(kept, bk)
-			}
-		}
-		if len(kept) > 0 {
-			views = append(views, SignalView{Name: name, Buckets: kept})
-		}
-	}
-	return views, nil
+	views = s.hub.envelopes(compileFilter(req.Signals), s.resolveSince(req.Since), req.Cols)
+	return views, s.hub.newestMS, s.hub.newestSet, nil
 }
-
-// StreamNewest returns the newest retained stream timestamp (ms) and
-// whether any tuple has been seen. Must run on the loop goroutine.
-func (s *Server) StreamNewest() (int64, bool) { return s.hub.newestMS, s.hub.newestSet }
-
-// BackfillEnabled reports whether the tiered backfill store is on. Must
-// run on the loop goroutine.
-func (s *Server) BackfillEnabled() bool { return s.hub.backfill != nil }
 
 // WebCounters aggregates the web gateway lane's fan-out accounting.
 // The gateway's HTTP goroutines and the hub update it; FanoutStats and

@@ -7,15 +7,18 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/tuple"
 )
 
-// This file is the subscriber protocol's v2 vocabulary: the
-// SubscriptionRequest carried by the client's opening handshake line, the
-// functional options that build one, and the compiled signal filter the hub
-// evaluates per tuple. Framing primitives (control-frame encode/parse) live
-// in package repro/internal/tuple; the hub's state machine in hub.go.
+// This file is the subscriber protocol's v2 vocabulary and its only
+// owner: the SubscriptionRequest carried by the client's opening handshake
+// line, the field grammar that decodes one (ParseSubscriptionFields, which
+// the web gateway's query mapping calls too, and ParseSince), the
+// functional options that build one, and the compiled signal filter the
+// hub evaluates per tuple. Framing primitives (control-frame encode/parse)
+// live in package repro/internal/tuple; the hub's state machine in hub.go.
 
 const (
 	// subMagic opens a v2 client's handshake line: "gscope-sub 2 ...".
@@ -33,8 +36,9 @@ type SubscriptionRequest struct {
 	// Signals restricts the live stream (and any backfill) to signals
 	// whose names match one of these patterns: an exact name, or a glob in
 	// path.Match syntax ("cpu.*"). Empty means every signal. Patterns must
-	// not contain spaces or commas (the §3.3 name grammar allows spaces;
-	// such names cannot be addressed by a filter and never match one).
+	// not contain white space or commas (the §3.3 name grammar allows
+	// spaces; such names cannot be addressed by a filter and never match
+	// one).
 	Signals []string
 	// MaxRate caps delivery per signal, in tuples per second: the hub
 	// drops samples arriving less than 1/MaxRate after the last delivered
@@ -73,17 +77,14 @@ func (r *SubscriptionRequest) isZero() bool {
 		r.Wire == 0
 }
 
-// Validate rejects requests the wire encoding cannot carry: empty or
+// validate rejects requests the wire encoding cannot carry: empty or
 // space/comma-bearing signal patterns, malformed globs, negative rates
-// or resolutions, unknown wire versions. The programmatic entry points
-// (SubscribeWith, the web gateway's query mapping) call it before a
-// request reaches the hub.
-func (r *SubscriptionRequest) Validate() error { return r.validate() }
-
-// validate rejects requests the wire encoding cannot carry.
+// or resolutions, unknown wire versions.
 func (r *SubscriptionRequest) validate() error {
 	for _, p := range r.Signals {
-		if p == "" || strings.ContainsAny(p, " ,\n") {
+		// The handshake line splits on any white space, so a pattern
+		// holding some could not be carried.
+		if p == "" || strings.ContainsFunc(p, unicode.IsSpace) || strings.Contains(p, ",") {
 			return fmt.Errorf("netscope: bad signal pattern %q (empty, or contains space/comma)", p)
 		}
 		if _, err := path.Match(p, "probe"); err != nil {
@@ -147,10 +148,20 @@ func parseSubscriptionRequest(line string) (req SubscriptionRequest, ok bool, er
 	if f[1] != strconv.Itoa(hubVersion2) {
 		return req, true, fmt.Errorf("unsupported subscriber protocol version %q", f[1])
 	}
-	for _, kv := range f[2:] {
+	req, err = ParseSubscriptionFields(f[2:])
+	return req, true, err
+}
+
+// ParseSubscriptionFields decodes a request's key=value fields — the
+// handshake line after its magic and version, or the web gateway's query
+// parameters rendered the same way — and validates the result. signals
+// may repeat (its patterns accumulate); any other repeated key takes its
+// last value. Unknown keys are ignored for forward compatibility.
+func ParseSubscriptionFields(fields []string) (req SubscriptionRequest, err error) {
+	for _, kv := range fields {
 		key, val, found := strings.Cut(kv, "=")
 		if !found {
-			return req, true, fmt.Errorf("bad handshake field %q", kv)
+			return req, fmt.Errorf("bad handshake field %q", kv)
 		}
 		switch key {
 		case "signals":
@@ -164,24 +175,19 @@ func parseSubscriptionRequest(line string) (req SubscriptionRequest, ok bool, er
 			// NaN compares false against 0, so it would slip past the sign
 			// check into a subscription that decimates nothing.
 			if err != nil || req.MaxRate < 0 || math.IsNaN(req.MaxRate) {
-				return req, true, fmt.Errorf("bad max-rate %q", val)
+				return req, fmt.Errorf("bad max-rate %q", val)
 			}
 		case "since":
-			ms, perr := strconv.ParseInt(val, 10, 64)
-			// The ms→Duration multiply overflows outside ±(MaxInt64/1e6) ms;
-			// a wrapped Since would silently request a different window.
-			if perr != nil || ms > math.MaxInt64/int64(time.Millisecond) ||
-				ms < math.MinInt64/int64(time.Millisecond) {
-				return req, true, fmt.Errorf("bad since %q", val)
+			if req.Since, err = ParseSince(val); err != nil {
+				return req, fmt.Errorf("bad since %q", val)
 			}
-			req.Since = time.Duration(ms) * time.Millisecond
 		case "cols":
 			req.Cols, err = strconv.Atoi(val)
 			if err != nil || req.Cols < 0 {
-				return req, true, fmt.Errorf("bad cols %q", val)
+				return req, fmt.Errorf("bad cols %q", val)
 			}
 		case "stream":
-			req.NoStream = val == "0"
+			req.NoStream = val == "0" || val == "false"
 		case "wire":
 			// Known version 3 upgrades; anything else (including future
 			// versions this hub cannot speak) falls back to text, and the
@@ -190,14 +196,29 @@ func parseSubscriptionRequest(line string) (req SubscriptionRequest, ok bool, er
 			if val == "3" {
 				req.Wire = 3
 			}
-		default:
-			// Unknown keys are ignored for forward compatibility.
 		}
 	}
-	if verr := req.validate(); verr != nil {
-		return req, true, verr
+	return req, req.validate()
+}
+
+// ParseSince decodes a stream-timeline offset: whole milliseconds
+// ("-10000") or a Go duration ("-10s", truncated to whole milliseconds,
+// the timeline's resolution). Negative is a trailing window before the
+// newest stamp, as in SubscriptionRequest.Since. A millisecond count
+// whose Duration would overflow is rejected: a wrapped offset would
+// silently name a different window.
+func ParseSince(s string) (time.Duration, error) {
+	if ms, err := strconv.ParseInt(s, 10, 64); err == nil {
+		if ms > math.MaxInt64/int64(time.Millisecond) || ms < math.MinInt64/int64(time.Millisecond) {
+			return 0, fmt.Errorf("netscope: time offset %q out of range", s)
+		}
+		return time.Duration(ms) * time.Millisecond, nil
 	}
-	return req, true, nil
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("netscope: bad time offset %q (want milliseconds or a duration)", s)
+	}
+	return d.Truncate(time.Millisecond), nil
 }
 
 // SubscribeOption configures a v2 subscription. Passing any option to
@@ -338,7 +359,12 @@ type subscription struct {
 func compileSubscription(req SubscriptionRequest) *subscription {
 	s := &subscription{req: req, filter: compileFilter(req.Signals)}
 	if req.MaxRate > 0 {
-		s.minGapMS = int64(1000 / req.MaxRate)
+		// A gap past int64's range has no defined conversion (amd64 yields
+		// MinInt64, which would switch decimation off): clamp it.
+		s.minGapMS = math.MaxInt64
+		if gap := 1000 / req.MaxRate; gap < math.MaxInt64 {
+			s.minGapMS = int64(gap)
+		}
 		if s.minGapMS < 1 {
 			s.minGapMS = 0 // >=1000/s: millisecond stamps cannot be decimated further
 		} else {

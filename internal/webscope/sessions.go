@@ -2,23 +2,22 @@ package webscope
 
 import (
 	"net/http"
-	"path"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/glib"
+	"repro/internal/netscope"
 	"repro/internal/reclog"
 	"repro/internal/tuple"
 )
 
 // /v1/sessions: the flight recorder's on-disk sessions over HTTP.
 // The listing covers the server's active recording directory (gscoped
-// -record); querying replays a time window through reclog's indexed
-// reader (segments wholly outside the window are never read) and
-// returns the tuples as JSON triples. Reads are plain file I/O on the
-// handler goroutine — reclog sessions are safe to read while the
-// recorder appends (crash-tolerant scanning), so no loop marshaling.
+// -record); querying reads a time window through netscope.ReadFlight,
+// the hub's own flight-log backfill read (segments wholly outside the
+// window are never read), and returns the tuples as JSON triples. Reads
+// are plain file I/O on the handler goroutine — reclog sessions are safe
+// to read while the recorder appends (crash-tolerant scanning), so no
+// loop marshaling.
 
 // maxSessionTuples bounds one query response; the newest tuples win,
 // like the hub's own flight-log backfill bound.
@@ -46,9 +45,10 @@ type sessionJSON struct {
 //	GET /v1/sessions                          → {"sessions":[{...}]}
 //	GET /v1/sessions/ID?from=&to=&signals=&limit= → {"tuples":[[t,v,"name"],...]}
 //
-// from/to are recorded-timeline milliseconds (to absent = unbounded);
-// signals filters by the same exact/glob patterns streams use; limit
-// caps returned tuples (newest win; default and max 100000).
+// from/to are recorded-timeline offsets, milliseconds or Go durations
+// (to absent = unbounded); signals is parsed and matched exactly as a
+// stream's; limit caps returned tuples (newest win; default and max
+// 100000).
 func (g *Gateway) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "sessions requires GET")
@@ -93,24 +93,25 @@ func (g *Gateway) listSessions(w http.ResponseWriter, dir string) {
 	writeJSON(w, map[string]any{"sessions": sessions})
 }
 
+// querySession answers what a since= subscription's flight-log backfill
+// would: the same window read (netscope.ReadFlight), the same patterns.
 func (g *Gateway) querySession(w http.ResponseWriter, r *http.Request, dir string) {
 	q := r.URL.Query()
-	var from, to time.Duration
-	if s := q.Get("from"); s != "" {
-		d, err := parseSinceMS(s)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		from = d
+	req, err := netscope.ParseSubscriptionFields(queryFields(q))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
 	}
-	if s := q.Get("to"); s != "" {
-		d, err := parseSinceMS(s)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
+	var window [2]int64 // from, to in ms; to 0 = unbounded
+	for i, key := range []string{"from", "to"} {
+		if s := q.Get(key); s != "" {
+			d, err := netscope.ParseSince(s)
+			if err != nil {
+				httpError(w, http.StatusBadRequest, err.Error())
+				return
+			}
+			window[i] = d.Milliseconds()
 		}
-		to = d
 	}
 	limit := maxSessionTuples
 	if s := q.Get("limit"); s != "" {
@@ -121,41 +122,12 @@ func (g *Gateway) querySession(w http.ResponseWriter, r *http.Request, dir strin
 		}
 		limit = min(n, maxSessionTuples)
 	}
-	var patterns []string
-	for _, v := range q["signals"] {
-		for _, p := range strings.Split(v, ",") {
-			if p != "" {
-				patterns = append(patterns, p)
-			}
-		}
-	}
-	for _, p := range patterns {
-		if _, err := path.Match(p, "probe"); err != nil {
-			httpError(w, http.StatusBadRequest, "bad signal pattern: "+p)
-			return
-		}
-	}
 
-	sess, err := reclog.OpenSession(dir)
+	out, truncated, err := netscope.ReadFlight(dir, req.Signals, window[0], window[1], limit)
 	if err != nil {
 		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	rep := reclog.NewReplayer(sess)
-	rep.SetSpeed(0)
-	if from != 0 || to != 0 {
-		rep.SetWindow(from, to)
-	}
-	kept := glib.NewDropQueue[tuple.Tuple](limit)
-	rep.Run(func(batch []tuple.Tuple) error { //nolint:errcheck // best-effort read of a live session
-		for _, t := range batch {
-			if matchSignal(patterns, t.Name) {
-				kept.Push(t, false)
-			}
-		}
-		return nil
-	})
-	truncated, out := kept.Dropped() > 0, kept.Take(nil)
 
 	w.Header().Set("Content-Type", "application/json")
 	buf := make([]byte, 0, 64+32*len(out))
@@ -167,21 +139,4 @@ func (g *Gateway) querySession(w http.ResponseWriter, r *http.Request, dir strin
 	buf = tuple.AppendJSONBatch(buf, out)
 	buf = append(buf, '}', '\n')
 	w.Write(buf) //nolint:errcheck // client gone is the only failure
-}
-
-// matchSignal applies the stream lanes' filter semantics: no patterns
-// means everything; otherwise exact match or path.Match glob.
-func matchSignal(patterns []string, name string) bool {
-	if len(patterns) == 0 {
-		return true
-	}
-	for _, p := range patterns {
-		if p == name {
-			return true
-		}
-		if ok, err := path.Match(p, name); err == nil && ok {
-			return true
-		}
-	}
-	return false
 }

@@ -123,69 +123,37 @@ func (g *Gateway) unsubscribe(sink *netscope.Sink) {
 // --- Query-parameter mapping ------------------------------------------------
 
 // streamRequest maps /v1/stream and /v1/ws query parameters onto a v2
-// SubscriptionRequest (the table in docs/HTTP.md):
-//
-//	signals=a,b.*   → Signals (comma-separated patterns, may repeat)
-//	max-rate=30     → MaxRate (tuples/sec per signal)
-//	since=-10000    → Since (ms; negative = trailing window; or a Go
-//	                  duration like "-10s")
-//	cols=512        → Cols (decimated backfill resolution)
-//	stream=0        → NoStream (control plane only)
-//
-// format selects the payload framing: "json" (default) or "binary"
-// (WebSocket only; sets Wire=3).
+// SubscriptionRequest through the hub's own handshake grammar
+// (netscope.ParseSubscriptionFields; the table in docs/HTTP.md): signals,
+// max-rate, since, cols and stream mean exactly what they mean on a
+// gscope-sub 2 line. format selects the payload framing: "json" (default)
+// or "binary" (WebSocket only: the hub's v3 stream).
 func streamRequest(q url.Values) (netscope.SubscriptionRequest, string, error) {
-	var req netscope.SubscriptionRequest
-	for _, v := range q["signals"] {
-		for _, p := range strings.Split(v, ",") {
-			if p != "" {
-				req.Signals = append(req.Signals, p)
-			}
-		}
-	}
-	if s := q.Get("max-rate"); s != "" {
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return req, "", errors.New("bad max-rate: " + s)
-		}
-		req.MaxRate = f
-	}
-	if s := q.Get("since"); s != "" {
-		d, err := parseSinceMS(s)
-		if err != nil {
-			return req, "", err
-		}
-		req.Since = d
-	}
-	if s := q.Get("cols"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return req, "", errors.New("bad cols: " + s)
-		}
-		req.Cols = n
-	}
-	if s := q.Get("stream"); s == "0" || s == "false" {
-		req.NoStream = true
+	req, err := netscope.ParseSubscriptionFields(queryFields(q, "max-rate", "since", "cols", "stream"))
+	if err != nil {
+		return req, "", err
 	}
 	format := q.Get("format")
 	if format == "" {
 		format = "json"
 	}
-	if err := req.Validate(); err != nil {
-		return req, "", err
-	}
 	return req, format, nil
 }
 
-// parseSinceMS accepts milliseconds ("-10000") or a Go duration ("-10s").
-func parseSinceMS(s string) (time.Duration, error) {
-	if ms, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return time.Duration(ms) * time.Millisecond, nil
+// queryFields renders query parameters as v2 handshake fields: one per
+// signals value (the key may repeat), then the first non-empty value of
+// each of keys.
+func queryFields(q url.Values, keys ...string) []string {
+	var f []string
+	for _, v := range q["signals"] {
+		f = append(f, "signals="+v)
 	}
-	if d, err := time.ParseDuration(s); err == nil {
-		return d, nil
+	for _, k := range keys {
+		if v := q.Get(k); v != "" {
+			f = append(f, k+"="+v)
+		}
 	}
-	return 0, errors.New("bad since (want ms or duration): " + s)
+	return f
 }
 
 // helloData renders the hello event payload: the applied request.

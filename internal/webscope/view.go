@@ -1,9 +1,9 @@
 package webscope
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/draw"
 	"repro/internal/geom"
@@ -27,83 +27,73 @@ const (
 )
 
 // handleView serves GET /v1/view?signals=&from=&to=&cols=&format=.
-// from (alias: since) and to are stream-timeline milliseconds; negative
-// values are trailing offsets from the newest stream timestamp, from
-// defaults to -60000. Requires the hub's backfill store
-// (Server.SetBackfillRetention); 409 otherwise.
+// signals and from (alias: since) parse as a stream's signals and since
+// do; to takes the same offset forms. Negative values are trailing
+// offsets from the newest stream timestamp; from defaults to -60000.
+// Requires the hub's backfill store (Server.SetBackfillRetention); 409
+// otherwise.
 func (g *Gateway) handleView(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "view requires GET")
 		return
 	}
 	q := r.URL.Query()
-	var patterns []string
-	for _, v := range q["signals"] {
-		for _, p := range strings.Split(v, ",") {
-			if p != "" {
-				patterns = append(patterns, p)
-			}
-		}
+	from := q.Get("from")
+	if from == "" {
+		from = q.Get("since")
 	}
-	fromMS := int64(-60000)
-	fromArg := q.Get("from")
-	if fromArg == "" {
-		fromArg = q.Get("since")
+	if from == "" {
+		from = "-60000"
 	}
-	if fromArg != "" {
-		d, err := parseSinceMS(fromArg)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		fromMS = d.Milliseconds()
+	req, err := netscope.ParseSubscriptionFields(queryFields(q))
+	if err == nil {
+		req.Since, err = netscope.ParseSince(from)
 	}
-	cols := defaultViewCols
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	req.Cols = defaultViewCols
 	if s := q.Get("cols"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
 			httpError(w, http.StatusBadRequest, "bad cols: "+s)
 			return
 		}
-		cols = min(n, maxViewCols)
+		req.Cols = min(n, maxViewCols)
+	}
+	to := q.Get("to")
+	var toMS int64
+	if to != "" {
+		d, err := netscope.ParseSince(to)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		toMS = d.Milliseconds()
 	}
 
 	var (
-		views   []netscope.SignalView
-		verr    error
-		newest  int64
-		seen    bool
-		enabled bool
+		views  []netscope.SignalView
+		newest int64
+		seen   bool
+		verr   error
 	)
-	ok := g.invoke(func() {
-		enabled = g.srv.BackfillEnabled()
-		if !enabled {
-			return
-		}
-		newest, seen = g.srv.StreamNewest()
-		views, verr = g.srv.WebView(patterns, fromMS, cols)
-	})
-	if !ok {
+	if !g.invoke(func() { views, newest, seen, verr = g.srv.WebView(req) }) {
 		httpError(w, http.StatusServiceUnavailable, errShutdown.Error())
 		return
 	}
-	if !enabled {
-		httpError(w, http.StatusConflict, "history disabled: the hub runs without SetBackfillRetention")
+	switch {
+	case errors.Is(verr, netscope.ErrNoHistory):
+		httpError(w, http.StatusConflict, verr.Error())
 		return
-	}
-	if verr != nil {
+	case verr != nil:
 		httpError(w, http.StatusBadRequest, verr.Error())
 		return
 	}
 
 	// An explicit upper bound trims the envelope after the O(cols) read.
-	if s := q.Get("to"); s != "" {
-		d, err := parseSinceMS(s)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		toMS := d.Milliseconds()
+	if to != "" {
 		if toMS < 0 {
 			toMS += newest
 		}
@@ -118,7 +108,7 @@ func (g *Gateway) handleView(w http.ResponseWriter, r *http.Request) {
 
 	switch q.Get("format") {
 	case "", "json":
-		writeViewJSON(w, views, fromMS, newest, seen, cols)
+		writeViewJSON(w, views, req.Since.Milliseconds(), newest, seen, req.Cols)
 	case "png":
 		writeViewPNG(w, r, views)
 	default:

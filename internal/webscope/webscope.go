@@ -19,7 +19,16 @@
 // the same filter signature and lane, gets server-side decimation and
 // snapshot/backfill, and rides one bounded drop-oldest queue (a
 // glib.WriteWatch) so one stalled tab never blocks the hub or another
-// viewer. Endpoint reference: docs/HTTP.md.
+// viewer.
+//
+// The gateway is a transport only: it keeps no copy of the v2
+// subscription semantics. Query parameters are rendered as handshake
+// fields and parsed by netscope.ParseSubscriptionFields and
+// netscope.ParseSince, envelope history comes from Server.WebView (the
+// walk Since+Cols subscriptions read), and session queries from
+// netscope.ReadFlight (the hub's flight-log backfill read), so a browser
+// asks what a TCP subscriber can ask and gets the same answer. Endpoint
+// reference: docs/HTTP.md.
 package webscope
 
 import (

@@ -1,8 +1,10 @@
 package webscope
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -175,6 +177,12 @@ func openSSE(t *testing.T, r *rig, query string) *sseClient {
 		resp.Body.Close()
 		t.Fatalf("GET /v1/stream: status %d: %s", resp.StatusCode, body)
 	}
+	return readSSE(t, resp)
+}
+
+// readSSE parses an open stream response's events.
+func readSSE(t *testing.T, resp *http.Response) *sseClient {
+	t.Helper()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("stream Content-Type = %q", ct)
 	}
@@ -760,6 +768,40 @@ func TestSessionsWithoutRecorder(t *testing.T) {
 	}
 }
 
+// TestSessionsPatternsMatchStreams: a session query parses and matches
+// signals exactly as a stream does — a pattern a stream rejects is a 400,
+// and `a\b` is the exact name a\b, not a glob escape matching ab.
+func TestSessionsPatternsMatchStreams(t *testing.T) {
+	dir := t.TempDir()
+	var lg *reclog.Log
+	r := newRig(t, Options{}, func(srv *netscope.Server) {
+		var err error
+		if lg, err = srv.Record(dir, reclog.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r.inject(tuple.Tuple{Time: 1, Value: 1, Name: "ab"}, tuple.Tuple{Time: 2, Value: 2, Name: `a\b`})
+	if err := lg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := r.get("/v1/sessions/0?signals=" + url.QueryEscape("a b")); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("pattern with a space = %d %s, want 400", resp.StatusCode, body)
+	}
+	resp, body := r.get("/v1/sessions/0?signals=" + url.QueryEscape(`a\b`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %s", resp.StatusCode, body)
+	}
+	var q struct {
+		Tuples [][3]any `json:"tuples"`
+	}
+	if err := json.Unmarshal(body, &q); err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Tuples) != 1 || q.Tuples[0][2] != `a\b` {
+		t.Fatalf(`signals=a\b matched %v, want just a\b`, q.Tuples)
+	}
+}
+
 // --- Dashboard and counters --------------------------------------------------
 
 func TestDashboard(t *testing.T) {
@@ -930,4 +972,103 @@ func TestStreamRequestMapping(t *testing.T) {
 	if _, _, err := streamRequest(url.Values{"since": {"whenever"}}); err == nil {
 		t.Fatal("bad since accepted")
 	}
+}
+
+// TestStreamHandshakeParity feeds one request to a browser stream's query
+// and to a TCP subscriber's gscope-sub 2 handshake: both must accept or
+// reject it alike, and the hub must echo the same applied request to both.
+func TestStreamHandshakeParity(t *testing.T) {
+	var subAddr string
+	r := newRig(t, Options{}, func(srv *netscope.Server) {
+		a, err := srv.ListenSubscribers("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		subAddr = a.String()
+	})
+	for _, tc := range []struct {
+		fields []string // key=value, as query parameters and handshake fields
+		ok     bool
+	}{
+		{[]string{"max-rate=NaN"}, false},
+		{[]string{"max-rate=Inf"}, true},
+		{[]string{"max-rate=-1"}, false},
+		{[]string{"max-rate=1e-300"}, true},
+		{[]string{"since=10000000000000"}, false},
+		{[]string{"since=-10000000000000"}, false},
+		{[]string{"since=-10s"}, true},
+		{[]string{"cols=-1"}, false},
+		{[]string{"stream=false"}, true},
+		{[]string{"signals=a", "signals=b.*"}, true},
+		{[]string{`signals=a\b`}, true},
+		{[]string{"signals=a b"}, false},
+	} {
+		name := strings.Join(tc.fields, "&")
+		q := url.Values{}
+		for _, f := range tc.fields {
+			k, v, _ := strings.Cut(f, "=")
+			q.Add(k, v)
+		}
+		webAck, webOK := webStreamAck(t, r, q)
+		tcpAck, tcpOK := tcpHandshakeAck(t, subAddr, "gscope-sub 2 "+strings.Join(tc.fields, " "))
+		if webOK != tc.ok || tcpOK != tc.ok {
+			t.Errorf("%s: web accepted=%v, TCP accepted=%v, want %v", name, webOK, tcpOK, tc.ok)
+			continue
+		}
+		if webAck != tcpAck {
+			t.Errorf("%s: hub applied %q for the web, %q for TCP", name, webAck, tcpAck)
+		}
+	}
+}
+
+// webStreamAck opens /v1/stream with q and returns the hub's echo of the
+// applied request (the gscope-hub ack's fields), or false on a 400.
+func webStreamAck(t *testing.T, r *rig, q url.Values) (string, bool) {
+	t.Helper()
+	resp, err := r.client.Get(r.base + "/v1/stream?" + q.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusBadRequest {
+		return "", false
+	}
+	c := readSSE(t, resp)
+	ev := c.nextNamed(t, "control")
+	var ack struct {
+		Verb   string   `json:"verb"`
+		Fields []string `json:"fields"`
+	}
+	if err := json.Unmarshal([]byte(ev.data), &ack); err != nil || ack.Verb != "gscope-hub" || len(ack.Fields) == 0 {
+		t.Fatalf("first control event %q is not the hub's ack", ev.data)
+	}
+	return strings.Join(ack.Fields[1:], " "), true
+}
+
+// tcpHandshakeAck sends line as a subscriber handshake and returns the
+// echo in the hub's ack, or false when the hub answers with an error.
+func tcpHandshakeAck(t *testing.T, addr, line string) (string, bool) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // net.Conn deadline
+	if _, err := io.WriteString(conn, line+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	first, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("%q: no reply: %v", line, err)
+	}
+	f, ok := tuple.ParseControl(strings.TrimSpace(first))
+	switch {
+	case ok && f.Verb == "error":
+		return "", false
+	case ok && f.Verb == "gscope-hub" && f.Arg(0) == "2":
+		return strings.Join(f.Fields[1:], " "), true
+	}
+	t.Fatalf("%q: unexpected reply %q", line, first)
+	return "", false
 }
