@@ -10,16 +10,23 @@ import "math"
 // columns costs O(C), not O(W).
 //
 // Structure: level k holds buckets each summarizing histFanout^(k+1)
-// consecutive slots (samples or holes), stored in a ring sized to the
-// configured retention. A pushed slot folds into level 0's accumulating
-// bucket; every completed bucket cascades into the accumulator one level
-// up. Total memory is sum_k retention/fanout^(k+1) buckets — under 7% of
-// one float64 per retained sample at the default fanout.
+// consecutive slots (samples or holes), stored in a ring capped at what the
+// configured retention needs. A pushed slot folds into level 0's
+// accumulating bucket; every completed bucket cascades into the accumulator
+// one level up. A ring starts at histInitRing buckets and doubles when full
+// until it reaches its cap, so memory follows the slots held and the
+// retention is a ceiling, not an up-front cost. At the cap a level-0
+// bucket (32 bytes) per 16 slots is 25% of one float64 per retained slot;
+// the coarser levels add under 2%.
 
 // histFanout is the decimation ratio between pyramid levels. A query maps
 // each output column to at most 2×fanout buckets of the best level, which
 // keeps View O(columns) with a small constant.
 const histFanout = 16
+
+// histInitRing is the bucket count a level's ring starts with before it
+// doubles toward its cap.
+const histInitRing = 16
 
 // Bucket summarizes a span of consecutive trace slots.
 type Bucket struct {
@@ -72,6 +79,7 @@ func (b *Bucket) merge(o Bucket) {
 type histLevel struct {
 	span int64 // slots per bucket: histFanout^(level+1)
 	buf  []Bucket
+	cap  int // ring capacity the retention needs; buf grows up to it
 	head int // slot that will be written next
 	n    int // valid buckets, up to len(buf)
 	acc  Bucket
@@ -87,11 +95,29 @@ func (l *histLevel) completed(total int64) int64 { return total / l.span }
 //
 //gscope:hotpath
 func (l *histLevel) push(b Bucket) {
+	if l.n == len(l.buf) && len(l.buf) < l.cap {
+		l.buf = growRing(l.buf, l.cap)
+		l.head = l.n
+	}
 	l.buf[l.head] = b
 	l.head = (l.head + 1) % len(l.buf)
 	if l.n < len(l.buf) {
 		l.n++
 	}
+}
+
+// growRing returns a full ring's entries in an array twice as long, capped
+// at limit; the caller's next write goes to index len(buf). A ring below
+// its cap has never wrapped: it fills from index 0, so when full its head
+// is back at 0 and its entries already run oldest-first. Doubling keeps
+// the copy O(1) amortized per entry, and nothing rotates out before the
+// ring reaches its cap.
+//
+//gscope:hotpath
+func growRing[T any](buf []T, limit int) []T {
+	out := make([]T, min(2*len(buf), limit)) //gscope:allow hotpath ring doubling is O(1) amortized and stops at the retention's cap
+	copy(out, buf)
+	return out
 }
 
 // ringIndex returns the slot of the entry back positions behind head in a
@@ -137,19 +163,23 @@ func NewHistory(retention int) *History {
 	}
 	h := &History{retention: r}
 	for span := int64(histFanout); span < r; span *= histFanout {
-		capBuckets := (r + span - 1) / span
-		if capBuckets < 2 {
-			capBuckets = 2
-		}
-		h.levels = append(h.levels, histLevel{
-			span: span,
-			buf:  make([]Bucket, capBuckets),
-		})
+		h.levels = append(h.levels, newHistLevel(span, ringCap(r, span)))
 	}
 	if len(h.levels) == 0 {
-		h.levels = append(h.levels, histLevel{span: histFanout, buf: make([]Bucket, 2)})
+		h.levels = append(h.levels, newHistLevel(histFanout, 2))
 	}
 	return h
+}
+
+// ringCap is the bucket count a level of the given span needs to cover r
+// slots (at least two).
+func ringCap(r, span int64) int { return int(max((r+span-1)/span, 2)) }
+
+// initRing is the starting length of a ring capped at limit entries.
+func initRing(limit int) int { return min(histInitRing, limit) }
+
+func newHistLevel(span int64, limit int) histLevel {
+	return histLevel{span: span, buf: make([]Bucket, initRing(limit)), cap: limit}
 }
 
 // Retention returns the configured retention in slots.
@@ -185,7 +215,8 @@ func (h *History) Push(v float64, hole bool) {
 	}
 }
 
-// Clear resets the store to empty without reallocating.
+// Clear resets the store to empty without reallocating; rings keep the
+// length they have grown to.
 func (h *History) Clear() {
 	h.total = 0
 	for k := range h.levels {

@@ -389,7 +389,7 @@ func (sc *Scope) Feed() *Feed { return sc.feed }
 // SetHistoryRetention backs every signal's trace ring with a tiered
 // decimated history retaining approximately n slots (samples or holes) per
 // signal — the store behind wide zoomed-out views, sized for millions of
-// samples. It applies to existing signals (their history starts empty) and
+// samples. n is a ceiling: each store grows with the slots it holds. It applies to existing signals (their history starts empty) and
 // to signals added later. Non-positive n disables history for existing and
 // future signals.
 func (sc *Scope) SetHistoryRetention(n int) {

@@ -12,6 +12,10 @@ import "sort"
 // then summarized column by column through History.Query: O(cols) whatever
 // the sample count, the same property Trace.View gives the renderer.
 //
+// The time index adds one 8-byte stamp per 16 samples at the cap, 6% of
+// one float64 per retained sample, and grows with level 0's ring, so a
+// store costs what it holds up to its retention.
+//
 // Timestamps are clamped monotonic on push (a sample stamped earlier than
 // its predecessor indexes at the predecessor's time), which keeps the index
 // sorted under the skewed publisher clocks the hub already tolerates.
@@ -19,7 +23,8 @@ type TimedHistory struct {
 	h *History
 
 	// times[i] is the end timestamp (ms) of completed level-0 bucket
-	// (firstBucket+i) — a ring aligned with the pyramid's finest level.
+	// (firstBucket+i) — a ring aligned with the pyramid's finest level:
+	// same cap, grown at the same bucket completion.
 	times []int64
 	head  int
 	n     int
@@ -40,12 +45,9 @@ type TimedBucket struct {
 // of most recent samples (non-positive selects DefaultHistoryRetention).
 func NewTimedHistory(retention int) *TimedHistory {
 	h := NewHistory(retention)
-	// One timestamp per level-0 bucket across the whole retention window.
-	slots := (h.Retention() + histFanout - 1) / histFanout
-	if slots < 2 {
-		slots = 2
-	}
-	return &TimedHistory{h: h, times: make([]int64, slots)}
+	// One timestamp per resident level-0 bucket, so the ring keeps level
+	// 0's length.
+	return &TimedHistory{h: h, times: make([]int64, len(h.levels[0].buf))}
 }
 
 // Push records one sample. NaN values become holes, as in Trace.
@@ -60,6 +62,12 @@ func (th *TimedHistory) Push(tms int64, v float64) {
 	th.h.Push(v, false)
 	if th.h.Total()%histFanout == 0 {
 		// A level-0 bucket just completed; stamp it with its newest time.
+		if l0 := len(th.h.levels[0].buf); len(th.times) < l0 {
+			// Level 0 grew at this completion, so the full time ring
+			// grows with it.
+			th.times = growRing(th.times, l0)
+			th.head = th.n
+		}
 		th.times[th.head] = tms
 		th.head = (th.head + 1) % len(th.times)
 		if th.n < len(th.times) {

