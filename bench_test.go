@@ -876,11 +876,12 @@ func BenchmarkTupleParseBinary(b *testing.B) {
 
 // BenchmarkTupleParseText is the text-stream analogue of
 // BenchmarkTupleParseBinary: a ~64 KiB runs-shaped chunk of §3.3 lines —
-// one network read's worth — through StreamDecoder.Feed and tuple.Parse.
-// ns/op and allocs/op are per tuple, so the stream's own per-line cost
-// shows here, which BenchmarkTupleParse (starting from a string) never
-// sees. "split" feeds the chunk as two reads cut mid-line, so the carried
-// line is completed from the second read's head.
+// one network read's worth — through StreamDecoder.Feed, which parses the
+// lines in place and hands their tuples to batch. ns/op and allocs/op are
+// per tuple, so the stream's own per-line cost shows here, which
+// BenchmarkTupleParse (starting from a string) never sees. "split" feeds
+// the chunk as two reads cut mid-line, so the carried line is completed
+// from the second read's head.
 func BenchmarkTupleParseText(b *testing.B) {
 	var chunk []byte
 	for k := 0; k < 9; k++ {
@@ -901,14 +902,8 @@ func BenchmarkTupleParseText(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			dec := tuple.NewStreamDecoder()
 			out := make([]tuple.Tuple, 0, tuples)
-			line := func(ln string) {
-				t, err := tuple.Parse(ln)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out = append(out, t)
-			}
-			batch := func([]tuple.Tuple) { b.Fatal("binary frame in a text chunk") }
+			line := func(ln string) { b.Fatalf("line %q is not a tuple", ln) }
+			batch := func(ts []tuple.Tuple) { out = append(out, ts...) }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += tuples {

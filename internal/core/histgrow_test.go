@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // eagerHistory returns a History whose rings are allocated at their caps
@@ -25,7 +26,7 @@ func eagerTimedHistory(retention int) *TimedHistory {
 		l := &th.h.levels[k]
 		l.buf = make([]Bucket, l.cap)
 	}
-	th.times = make([]int64, len(th.h.levels[0].buf))
+	th.times = make([]int64, th.timesCap())
 	return th
 }
 
@@ -155,12 +156,14 @@ func sameBucket(a, b Bucket) bool {
 }
 
 // TestTimedHistoryGrowthMatchesEager is the time-indexed counterpart: the
-// time ring grows in lockstep with level 0, so ViewSince answers exactly
-// as full-size rings do, and every retained sample stamped at or after
-// since lies inside some column's envelope.
+// time ring grows with the buckets it stamps, so ViewSince answers exactly
+// as full-size rings do, and every sample still in History.Oldest's reach
+// and stamped at or after since lies inside some column's envelope — also
+// at retentions that are not powers of 16, where the coarsest level
+// reaches further back than level 0.
 func TestTimedHistoryGrowthMatchesEager(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	for _, retention := range []int{16, 300, 4096, 5000} {
+	for _, retention := range []int{16, 100, 300, 4096, 5000} {
 		th := NewTimedHistory(retention)
 		ref := eagerTimedHistory(retention)
 		var raw []float64
@@ -185,14 +188,11 @@ func TestTimedHistoryGrowthMatchesEager(t *testing.T) {
 				stamps = append(stamps, push)
 				tms += int64(r.Intn(3))
 			}
-			if len(th.times) != len(th.h.levels[0].buf) || th.n != th.h.levels[0].n {
-				t.Fatalf("retention %d total %d: time ring %d/%d, level 0 %d/%d",
-					retention, n, th.n, len(th.times), th.h.levels[0].n, len(th.h.levels[0].buf))
+			if len(th.times) > max(initRing(th.timesCap()), 2*th.n) || th.n != int(min(n/histFanout, int64(th.timesCap()))) {
+				t.Fatalf("retention %d total %d: time ring holds %d of %d stamps in %d slots",
+					retention, n, th.n, n/histFanout, len(th.times))
 			}
-			// The time index covers level 0's residency, so ViewSince
-			// reaches back no further than that, even where a coarser
-			// level still holds older buckets.
-			oldest := max(th.h.Oldest(), th.h.oldestResident(0))
+			oldest := th.h.Oldest()
 			for q := 0; q < 12; q++ {
 				since := r.Int63n(tms + 2)
 				cols := 1 + r.Intn(64)
@@ -257,5 +257,60 @@ func TestHistoryClearKeepsGrownRings(t *testing.T) {
 	}
 	if got := h.Query(1<<14, 1<<15); got.Min != 0 || got.Max != 1<<14-1 {
 		t.Fatalf("refilled Query = %+v", got)
+	}
+}
+
+// TestTimedHistoryPowerOf16Footprint: where the retention is a power of
+// 16 the coarsest level reaches no further than level 0, so the time ring
+// stays level 0's length at every size and the store keeps its footprint.
+func TestTimedHistoryPowerOf16Footprint(t *testing.T) {
+	if size := unsafe.Sizeof(TimedHistory{}); size > 64 {
+		t.Fatalf("TimedHistory is %d bytes, want at most 64", size)
+	}
+	for _, retention := range []int{4096, 1 << 16} {
+		th := NewTimedHistory(retention)
+		var total int64
+		for _, n := range growthCheckpoints(th.h) {
+			for ; total < n; total++ {
+				th.Push(total, float64(total))
+			}
+			if len(th.times) != len(th.h.levels[0].buf) {
+				t.Fatalf("retention %d total %d: time ring %d, level 0 ring %d",
+					retention, n, len(th.times), len(th.h.levels[0].buf))
+			}
+		}
+	}
+}
+
+// TestTimedHistoryViewSinceReachesOldest checks, after every push, that a
+// window opening anywhere between History.Oldest and the newest sample
+// starts no later than its first sample: stamps and values are the slot
+// index, so neither the window's first slot nor its first column's Min
+// may exceed the first slot at or after since that is still retained.
+// The windows probed bracket the oldest slot the time ring stamps, where
+// the coarsest level reaches beyond level 0 (retentions that are not
+// powers of 16) or completes its buckets later (every retention).
+func TestTimedHistoryViewSinceReachesOldest(t *testing.T) {
+	for _, retention := range []int{100, 300, 4096, 5000} {
+		th := NewTimedHistory(retention)
+		for n := int64(1); n <= 3*int64(retention)+2*histFanout*histFanout; n++ {
+			th.Push(n-1, float64(n-1))
+			oldest, stamped := th.h.Oldest(), (th.h.Total()/histFanout-int64(th.n))*histFanout
+			for _, since := range []int64{0, oldest, oldest + 1, (oldest + stamped) / 2, stamped - 1, stamped, n - 1} {
+				if since < 0 || since >= n {
+					continue
+				}
+				want := max(since, oldest)
+				if lo := max(th.sinceSlot(since), oldest); lo > want {
+					t.Fatalf("retention %d total %d: window since %d opens at slot %d, want ≤ %d (Oldest %d, ring from %d)",
+						retention, n, since, lo, want, oldest, stamped)
+				}
+				cols := th.ViewSince(since, 8)
+				if len(cols) == 0 || cols[0].Min > float64(want) {
+					t.Fatalf("retention %d total %d: ViewSince(%d) starts at %v, want ≤ %d (Oldest %d, ring from %d)",
+						retention, n, since, cols, want, oldest, stamped)
+				}
+			}
+		}
 	}
 }

@@ -7,14 +7,16 @@ import "sort"
 // answers slot-range queries; remote viewers ask in stream time ("the last
 // ten seconds, decimated to 512 columns"). TimedHistory couples a History
 // with a coarse time index — the end timestamp of every completed level-0
-// bucket, kept in a ring aligned with level 0's residency — so a time
-// window maps onto a slot range with one binary search, and the window is
-// then summarized column by column through History.Query: O(cols) whatever
-// the sample count, the same property Trace.View gives the renderer.
+// bucket, kept in a ring that reaches back as far as the coarsest level
+// (History.Oldest) — so a time window maps onto a slot range with one
+// binary search, and the window is then summarized column by column
+// through History.Query: O(cols) whatever the sample count, the same
+// property Trace.View gives the renderer.
 //
 // The time index adds one 8-byte stamp per 16 samples at the cap, 6% of
-// one float64 per retained sample, and grows with level 0's ring, so a
-// store costs what it holds up to its retention.
+// one float64 per retained sample at retentions that are powers of 16,
+// and grows with the samples it stamps, so a store costs what it holds up
+// to its retention.
 //
 // Timestamps are clamped monotonic on push (a sample stamped earlier than
 // its predecessor indexes at the predecessor's time), which keeps the index
@@ -23,14 +25,18 @@ type TimedHistory struct {
 	h *History
 
 	// times[i] is the end timestamp (ms) of completed level-0 bucket
-	// (firstBucket+i) — a ring aligned with the pyramid's finest level:
-	// same cap, grown at the same bucket completion.
+	// (firstStamped+i): a ring that doubles when full up to timesCap.
 	times []int64
 	head  int
 	n     int
 
 	lastMS int64 // newest (clamped) stamp pushed
-	seen   bool
+	// evicted is the end stamp of the newest bucket rotated out of
+	// times. The coarsest level completes its buckets later than level
+	// 0 does, so Oldest can sit up to one coarse span before the ring;
+	// evicted tells whether samples there may be recent enough for a
+	// window.
+	evicted int64
 }
 
 // TimedBucket is one backfill column: the min/max/last envelope of the
@@ -44,29 +50,38 @@ type TimedBucket struct {
 // NewTimedHistory creates a store retaining approximately the given number
 // of most recent samples (non-positive selects DefaultHistoryRetention).
 func NewTimedHistory(retention int) *TimedHistory {
-	h := NewHistory(retention)
-	// One timestamp per resident level-0 bucket, so the ring keeps level
-	// 0's length.
-	return &TimedHistory{h: h, times: make([]int64, len(h.levels[0].buf))}
+	th := &TimedHistory{h: NewHistory(retention)}
+	th.times = make([]int64, initRing(th.timesCap()))
+	return th
+}
+
+// timesCap is the time ring's cap: the coarsest ring's reach in level-0
+// buckets, which is level 0's own cap when the retention is a power of 16.
+//
+//gscope:hotpath
+func (th *TimedHistory) timesCap() int {
+	top := &th.h.levels[len(th.h.levels)-1]
+	return int(int64(top.cap) * top.span / histFanout)
 }
 
 // Push records one sample. NaN values become holes, as in Trace.
 //
 //gscope:hotpath
 func (th *TimedHistory) Push(tms int64, v float64) {
-	if th.seen && tms < th.lastMS {
+	if th.h.Total() > 0 && tms < th.lastMS {
 		tms = th.lastMS // clamp: keep the time index sorted
 	}
 	th.lastMS = tms
-	th.seen = true
 	th.h.Push(v, false)
 	if th.h.Total()%histFanout == 0 {
 		// A level-0 bucket just completed; stamp it with its newest time.
-		if l0 := len(th.h.levels[0].buf); len(th.times) < l0 {
-			// Level 0 grew at this completion, so the full time ring
-			// grows with it.
-			th.times = growRing(th.times, l0)
-			th.head = th.n
+		if th.n == len(th.times) {
+			if limit := th.timesCap(); th.n < limit {
+				th.times = growRing(th.times, limit)
+				th.head = th.n
+			} else {
+				th.evicted = th.times[th.head]
+			}
 		}
 		th.times[th.head] = tms
 		th.head = (th.head + 1) % len(th.times)
@@ -80,7 +95,7 @@ func (th *TimedHistory) Push(tms int64, v float64) {
 func (th *TimedHistory) Samples() int64 { return th.h.Total() }
 
 // Newest returns the newest stamp pushed; ok is false when empty.
-func (th *TimedHistory) Newest() (int64, bool) { return th.lastMS, th.seen }
+func (th *TimedHistory) Newest() (int64, bool) { return th.lastMS, th.h.Total() > 0 }
 
 // timeAt returns the end stamp of completed level-0 bucket abs (absolute
 // index); caller guarantees it is resident.
@@ -89,21 +104,23 @@ func (th *TimedHistory) timeAt(abs int64) int64 {
 	return th.times[ringIndex(th.head, len(th.times), int(comp-1-abs))]
 }
 
+// firstStamped returns the absolute index of the oldest completed
+// level-0 bucket the time ring still stamps.
+func (th *TimedHistory) firstStamped() int64 {
+	return th.h.Total()/histFanout - int64(th.n)
+}
+
 // sinceSlot maps a stream time onto the first retained slot whose level-0
-// bucket ends at or after sinceMS.
+// bucket ends at or after sinceMS (past every stamped bucket: the
+// accumulating tail). When buckets rotated out of the ring may end at or
+// after sinceMS too, it returns slot 0, which ViewSince clamps to Oldest.
 func (th *TimedHistory) sinceSlot(sinceMS int64) int64 {
-	comp := th.h.Total() / histFanout
-	first := comp - int64(th.n)
-	if first < 0 {
-		first = 0
-	}
-	// Find the first resident completed bucket ending >= sinceMS.
+	first := th.firstStamped()
 	k := sort.Search(th.n, func(i int) bool {
 		return th.timeAt(first+int64(i)) >= sinceMS
 	})
-	if k == th.n {
-		// Only the accumulating tail (if anything) is recent enough.
-		return comp * histFanout
+	if k == 0 && first > 0 && th.evicted >= sinceMS {
+		return 0
 	}
 	return (first + int64(k)) * histFanout
 }
@@ -115,7 +132,7 @@ func (th *TimedHistory) sinceSlot(sinceMS int64) int64 {
 // interpolated linearly between sinceMS (clamped to what is still
 // retained) and the newest stamp. Cost is O(cols).
 func (th *TimedHistory) ViewSince(sinceMS int64, cols int) []TimedBucket {
-	if cols <= 0 || !th.seen {
+	if cols <= 0 || th.h.Total() == 0 {
 		return nil
 	}
 	lo := th.sinceSlot(sinceMS)
@@ -129,7 +146,7 @@ func (th *TimedHistory) ViewSince(sinceMS int64, cols int) []TimedBucket {
 	// The effective window start in time, for interpolation: the stamp of
 	// the bucket holding lo, or sinceMS when it is mid-stream.
 	startMS := sinceMS
-	if first := lo / histFanout; first < th.h.Total()/histFanout && th.n > 0 {
+	if first := lo / histFanout; first < th.h.Total()/histFanout && first >= th.firstStamped() {
 		if t := th.timeAt(first); t > startMS {
 			startMS = t
 		}

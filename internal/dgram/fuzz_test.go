@@ -19,7 +19,6 @@ func bareReceiver(release func([]tuple.Tuple), opt Options) *Receiver {
 		opt:     opt.withDefaults(),
 		now:     time.Now,
 		dec:     tuple.NewStreamDecoder(),
-		intern:  tuple.NewInterner(),
 		sources: make(map[string]*source),
 		done:    make(chan struct{}),
 	}

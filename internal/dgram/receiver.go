@@ -120,8 +120,7 @@ type Receiver struct {
 	// now is the clock, swappable in tests.
 	now func() time.Time
 
-	dec    *tuple.StreamDecoder
-	intern *tuple.Interner
+	dec *tuple.StreamDecoder
 	scratch
 	mu sync.Mutex
 	//gscope:guardedby mu
@@ -185,7 +184,6 @@ func NewReceiver(conn net.PacketConn, release func([]tuple.Tuple), opt Options) 
 		opt:     opt.withDefaults(),
 		now:     time.Now,
 		dec:     tuple.NewStreamDecoder(),
-		intern:  tuple.NewInterner(),
 		sources: make(map[string]*source),
 		done:    make(chan struct{}),
 	}
@@ -240,7 +238,7 @@ func (r *Receiver) ingest(pkt []byte, from net.Addr) {
 		ferr = errMalformed
 	}
 	if ferr == nil {
-		r.dec.Tail(r.onLine)
+		r.dec.Tail(r.onLine, r.onTuples)
 	}
 	if ferr != nil {
 		r.mu.Lock()
@@ -248,9 +246,6 @@ func (r *Receiver) ingest(pkt []byte, from net.Addr) {
 		r.mu.Unlock()
 		return
 	}
-	// Buffered batches must not pin the datagram's decode strings.
-	r.intern.CanonicalizeNames(r.batch)
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -278,18 +273,8 @@ func (r *Receiver) ingest(pkt []byte, from net.Addr) {
 	r.accept(src, h.seq)
 }
 
-// onLine accepts one interleaved text line from a chunk (the §B1
-// fallback lane for names past the dictionary cap).
-func (r *Receiver) onLine(line string) {
-	if tuple.IsComment(line) {
-		return
-	}
-	t, err := tuple.Parse(line)
-	if err != nil {
-		return // a bad text line is skippable, exactly as on TCP ingest
-	}
-	r.batch = append(r.batch, t)
-}
+// onLine skips comments and bad lines; text tuples arrive in onTuples.
+func (r *Receiver) onLine(string) {}
 
 func (r *Receiver) onTuples(ts []tuple.Tuple) { r.batch = append(r.batch, ts...) }
 

@@ -199,6 +199,51 @@ func (s *Source) WireStream(ts []tuple.Tuple) []byte {
 	return b
 }
 
+// TextLines generates up to max text lines, without their newlines, for
+// decoders that must treat every line exactly as tuple.Parse does: tuple
+// lines in the encoders' shape and in every shape the general grammar
+// accepts (CRLF endings, leading and doubled blanks, names with interior
+// spaces, exponent and special values, names numbered out of a large
+// space), comments, blanks, near-misses and arbitrary bytes. No line
+// starts with tuple.FrameMarker, so the lines stay text.
+func (s *Source) TextLines(max int) []string {
+	n := s.Intn(max + 1)
+	out := make([]string, 0, n)
+	for i := 0; i < n && !s.Exhausted(); i++ {
+		ms := s.Int63n(maxTupleTimeMS) - maxTupleTimeMS/4
+		var ln string
+		switch s.Intn(8) {
+		case 0:
+			ln = tuple.Tuple{Time: ms, Value: s.Float(), Name: s.Name()}.String()
+		case 1:
+			ln = tuple.Tuple{Time: ms, Value: s.Float(), Name: s.Name()}.String() + "\r"
+		case 2:
+			ln = fmt.Sprintf(" %d  %s  %s ", ms, tuple.FormatValue(s.Float()), s.Name())
+		case 3:
+			ln = fmt.Sprintf("%d %e %s", ms, s.Float(), s.Name())
+		case 4:
+			ln = fmt.Sprintf("%d %s n%d", ms, []string{"NaN", "+Inf", "-0", "1_0", "0x1p-2", ".5"}[s.Intn(6)], s.Intn(1<<16))
+		case 5:
+			ln = noiseLines[s.Intn(len(noiseLines))]
+		case 6:
+			ln = fmt.Sprintf("%d", ms)
+		default:
+			b := make([]byte, s.Intn(40))
+			for j := range b {
+				if b[j] = s.Byte(); b[j] == '\n' {
+					b[j] = ' '
+				}
+			}
+			if len(b) > 0 && b[0] == tuple.FrameMarker {
+				b[0] = '#'
+			}
+			ln = string(b)
+		}
+		out = append(out, ln)
+	}
+	return out
+}
+
 // controlTokens are space-free field tokens for control frames.
 var controlTokens = []string{
 	"a", "k=v", "tuples=3", "since-ms=-12", "weird==x", "π", "0", "param-ok",

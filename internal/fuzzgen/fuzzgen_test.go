@@ -143,3 +143,25 @@ func TestCorruptSegmentCoversModes(t *testing.T) {
 		t.Fatal("CorruptSegment mutated its input")
 	}
 }
+
+// TestTextLinesStayText: generated lines never hold a newline or open
+// with the binary frame marker, and across inputs they include lines
+// Parse accepts and lines it rejects.
+func TestTextLinesStayText(t *testing.T) {
+	parsed, rejected := 0, 0
+	for i := 0; i < 64; i++ {
+		for _, ln := range New(sampleData()[i:]).TextLines(64) {
+			if strings.Contains(ln, "\n") || (ln != "" && ln[0] == tuple.FrameMarker) {
+				t.Fatalf("line %q is not a text line", ln)
+			}
+			if _, err := tuple.Parse(ln); err == nil {
+				parsed++
+			} else {
+				rejected++
+			}
+		}
+	}
+	if parsed == 0 || rejected == 0 {
+		t.Fatalf("%d lines parsed and %d were rejected; want both", parsed, rejected)
+	}
+}

@@ -1061,8 +1061,8 @@ func (s *Server) retain(t tuple.Tuple) {
 // it. It must run on the loop goroutine — it is the relay hook used when
 // chaining hubs (a Subscriber's callback feeding a downstream Server).
 func (s *Server) Inject(t tuple.Tuple) {
-	s.received++
-	s.deliver(t)
+	one := [1]tuple.Tuple{t}
+	s.InjectBatch(one[:])
 }
 
 // InjectBatch delivers a whole batch through the same pipeline with one
@@ -1422,17 +1422,11 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 	}
 	// Text and v3 hubs are read the same way: the hub may interleave
 	// binary frames with the text control plane (docs/WIRE.md), and a text
-	// hub simply never sends one. Binary tuples need no pre-ack client
-	// filter: the hub only emits them after (and behind) the wire=3 ack,
-	// which onLine processes in stream order first. A framing error or an
-	// over-long line is terminal (§B7).
+	// hub simply never sends one. A framing error or an over-long line is
+	// terminal (§B7).
 	var batch []tuple.Tuple
-	// A viewer's scope keys signals by the names it is handed, so each is
-	// detached from its decode block before delivery.
-	names := tuple.NewInterner()
 	flush := func() {
 		if len(batch) > 0 {
-			names.CanonicalizeNames(batch)
 			fn(batch)
 			batch = batch[:0]
 		}
@@ -1454,23 +1448,19 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 			sub.control(line)
 			return
 		}
-		t, perr := tuple.Parse(line)
-		if perr != nil {
-			sub.parseErrors.Add(1)
-			return
-		}
-		if !sub.acked.Load() && !sub.clientFilter.match(t.Name) {
-			// Tuples broadcast before the server applied our request
-			// (the handshake race) are outside the subscription;
-			// enforce the filter client-side until the ack.
-			return
-		}
-		count(1)
-		batch = append(batch, t)
+		sub.parseErrors.Add(1)
 	}
 	onTuples := func(ts []tuple.Tuple) {
-		count(int64(len(ts)))
-		batch = append(batch, ts...)
+		n := len(batch)
+		for _, t := range ts {
+			// Tuples broadcast before the server applied our request
+			// (the handshake race) are outside the subscription; the
+			// filter holds client-side until the ack.
+			if sub.acked.Load() || sub.clientFilter.match(t.Name) {
+				batch = append(batch, t)
+			}
+		}
+		count(int64(len(batch) - n))
 	}
 	dec := tuple.NewStreamDecoder()
 	sub.watch = loop.WatchReaderSize(conn, 64*1024, func(data []byte, err error) bool {
@@ -1479,7 +1469,7 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 		if err == io.EOF && ferr == nil {
 			// An unterminated last line is still a line; after a
 			// transport error it may be torn, so it is dropped.
-			dec.Tail(onLine)
+			dec.Tail(onLine, onTuples)
 		}
 		flush()
 		if ferr != nil {
@@ -1501,11 +1491,9 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 	return sub, nil
 }
 
-// control interprets the hub's '#'-comment framing lines. The line is
-// cloned first: OnControl users may keep the frame's fields, which would
-// otherwise pin the line's decode block. Control lines are rare.
+// control interprets the hub's '#'-comment framing lines.
 func (s *Subscriber) control(line string) {
-	f, ok := tuple.ParseControl(strings.Clone(line))
+	f, ok := tuple.ParseControl(line)
 	if !ok {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"path"
 	"strings"
@@ -1225,5 +1226,51 @@ func TestFilterMemoMatchesPathMatch(t *testing.T) {
 	}
 	if len(f.verdicts) != maxFilterMemo {
 		t.Fatalf("memo holds %d names, want the bound %d", len(f.verdicts), maxFilterMemo)
+	}
+}
+
+// TestSubscriberPreAckFilter plays a hub that broadcasts text tuples to a
+// filtered v2 subscriber before acknowledging its request (the handshake
+// race): until the ack, the subscriber itself must drop the tuples
+// outside its filter, deliver and count the rest, and after the ack take
+// what the hub sends as filtered.
+func TestSubscriberPreAckFilter(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+			return
+		}
+		io.WriteString(conn, "1 1 keep.a\n2 2 drop.b\n3 3 keep.c\n4 4 drop.d\n"+ //nolint:errcheck
+			"# gscope-hub 2 signals=keep.*\n"+
+			"5 5 late.e\n")
+		io.Copy(io.Discard, conn) //nolint:errcheck // hold the stream open until the subscriber closes
+	}()
+	loop := glib.NewLoop(glib.NewVirtualClock(time.Unix(7000, 0)), glib.WithGranularity(0))
+	var got []string
+	sub, err := SubscribeTo(loop, ln.Addr().String(), func(tu tuple.Tuple) {
+		got = append(got, tu.Name)
+	}, WithSignals("keep.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	pump(t, loop, func() bool { return len(got) >= 3 })
+	if want := []string{"keep.a", "keep.c", "late.e"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("delivered %q, want %q", got, want)
+	}
+	if received, parseErrors := sub.Stats(); received != 3 || parseErrors != 0 {
+		t.Fatalf("received %d (parse errors %d), want 3 (0)", received, parseErrors)
+	}
+	if !sub.Acked() {
+		t.Fatal("ack not seen")
 	}
 }

@@ -276,15 +276,9 @@ func (s *Server) addClient(conn net.Conn) {
 	var batch []tuple.Tuple
 	dec := tuple.NewStreamDecoder()
 	onLine := func(line string) {
-		if tuple.IsComment(line) {
-			return
-		}
-		t, perr := tuple.Parse(line)
-		if perr != nil {
+		if !tuple.IsComment(line) {
 			s.parseErrors++
-			return
 		}
-		batch = append(batch, t)
 	}
 	onTuples := func(ts []tuple.Tuple) { batch = append(batch, ts...) }
 	w := s.loop.WatchReaderSize(conn, 64*1024, func(data []byte, err error) bool {
@@ -293,7 +287,7 @@ func (s *Server) addClient(conn net.Conn) {
 		if err == io.EOF && ferr == nil {
 			// An unterminated last line is still a line; after a
 			// transport error it may be torn, so it is dropped.
-			dec.Tail(onLine)
+			dec.Tail(onLine, onTuples)
 		}
 		s.received += int64(len(batch))
 		s.deliverBatch(batch)
@@ -315,11 +309,6 @@ func (s *Server) addClient(conn net.Conn) {
 	s.clients[conn] = w
 }
 
-func (s *Server) deliver(t tuple.Tuple) {
-	one := [1]tuple.Tuple{t}
-	s.deliverBatch(one[:])
-}
-
 // deliverBatch runs the full delivery pipeline for a decoded batch:
 // observers and the recorder see every tuple, attached scopes ingest the
 // batch through their sharded feeds in one call, and the hub broadcasts it
@@ -329,9 +318,8 @@ func (s *Server) deliverBatch(batch []tuple.Tuple) {
 	if len(batch) == 0 {
 		return
 	}
-	// Parsed names are substrings of their decode block: retaining one
-	// tuple (snapshot history, feed backlogs, recorder queues) would pin
-	// the block for the life of the retention window.
+	// Each connection's decoder has its own name table; interning shares
+	// one name per signal across connections in everything retained.
 	s.intern.CanonicalizeNames(batch)
 	if s.OnTuple != nil {
 		for _, t := range batch {

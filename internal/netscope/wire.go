@@ -340,7 +340,7 @@ func (f *sigFilter) match(name string) bool {
 		if f.verdicts == nil {
 			f.verdicts = make(map[string]bool)
 		}
-		f.verdicts[strings.Clone(name)] = v // a decoded name would pin its decode block
+		f.verdicts[name] = v
 	}
 	return v
 }

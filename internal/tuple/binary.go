@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"strings"
+	"unsafe"
 )
 
 // This file is the v3 binary wire encoding: a compressed framing that can
@@ -313,34 +314,31 @@ func (e *BinaryEncoder) AppendBatchReadOnly(dst []byte, batch []Tuple) []byte {
 // errShortFrame signals an incomplete frame still waiting for bytes.
 var errShortFrame = errors.New("short frame")
 
-// lineBlock caps the string Feed converts a run of complete text lines
-// into: Go's largest small-object size class, so a block never becomes a
-// page-rounded large object. A longer line gets a block of its own.
-const lineBlock = 32 << 10
-
-// testHookBlock, set only by this package's tests, sees every line block
-// Feed converts, so tests can check that no kept name points into one.
-var testHookBlock func(block string)
-
 // StreamDecoder incrementally decodes a mixed text/binary tuple stream
 // from arbitrarily sliced chunks. It is the one framer of tuple streams:
 // publisher ingest and the Subscriber feed it each read of a
-// glib.WatchReaderSize watch, and StreamReader (hence Reader) each read of
-// a file or socket. Feed dispatches, in stream order, complete text lines
-// to line (newline stripped, one trailing \r trimmed, lines bounded at
-// 1 MiB) and each DATA frame's tuples to batch (the slice is reused across
-// calls). DICT frames update the dictionary invisibly; unknown frame types
-// are skipped by length for forward compatibility (WIRE.md §B2).
+// glib.WatchReaderSize watch, the datagram receiver each datagram, and
+// StreamReader (hence Reader) each read of a file or socket. Feed parses
+// text tuple lines in place on the fed bytes and hands their tuples to
+// batch, in stream order with the tuples of v3 DATA frames; the other
+// text lines (comments, blanks, lines that do not parse) go to line,
+// newline stripped, one trailing \r trimmed, bounded at 1 MiB. DICT
+// frames update the dictionary invisibly; unknown frame types are
+// skipped by length for forward compatibility (WIRE.md §B2).
 //
 // Framing errors are sticky and fatal: once Feed returns a non-nil error
-// the stream is undecodable past that point (WIRE.md §B7). Decoded names
-// are shared canonical strings — all tuples of one signal point at the
-// dictionary's copy.
+// the stream is undecodable past that point (WIRE.md §B7). Names never
+// point into the fed bytes: they come from the decoder's name table,
+// shared by text lines and DICT frames and kept across Reset, so the
+// tuples of one signal share one string. Past maxCanonicalNames names,
+// each run of a new name gets its own copy.
 type StreamDecoder struct {
-	names []string
+	names []string          // stream-local DICT ID → name
+	table map[string]string // name table: each name's own copy
+	prev  string            // the last name resolved, for runs
 	carry []byte
-	ends  []int // line ends of the current text run, reused
 	tup   []Tuple
+	lines int // text lines delivered, for StreamReader's messages
 	err   error
 }
 
@@ -350,28 +348,23 @@ func NewStreamDecoder() *StreamDecoder { return &StreamDecoder{} }
 // Reset clears the dictionary, any carried partial input, and a sticky
 // error, making the decoder ready for a new self-contained stream. The
 // datagram receive path resets one decoder per datagram (every datagram
-// is its own stream, WIRE.md §D2) instead of allocating a fresh decoder;
-// names already handed out in decoded tuples remain valid — Reset
-// truncates the dictionary slice, it never mutates the strings.
+// is its own stream, WIRE.md §D2); the name table survives Reset, so a
+// name each datagram declares again resolves without a copy.
 //
 //gscope:hotpath
 func (d *StreamDecoder) Reset() {
 	d.names = d.names[:0]
 	d.carry = d.carry[:0]
 	d.tup = d.tup[:0]
+	d.lines = 0
 	d.err = nil
 }
 
 // Feed consumes the next chunk of the stream. line and batch are invoked
-// synchronously, in stream order; their arguments are valid only for the
-// duration of the call.
-//
-// The lines of one run of complete text lines (up to 32 KiB) are
-// substrings of one string, so the stream costs one allocation per block
-// rather than one per line. A caller that keeps any part of a line — a
-// parsed tuple's Name, a control frame's fields — must therefore detach
-// it (Interner.CanonicalizeNames, strings.Clone), or the kept substring
-// pins its whole block.
+// synchronously, in stream order. The batch slice is reused across calls
+// and valid only for the duration of the call; the tuples' names, and
+// the strings passed to line, are the caller's to keep. A warmed decoder
+// allocates nothing for a chunk of tuple lines whose names it has seen.
 func (d *StreamDecoder) Feed(data []byte, line func(string), batch func([]Tuple)) error {
 	if d.err != nil {
 		return d.err
@@ -387,7 +380,7 @@ func (d *StreamDecoder) Feed(data []byte, line func(string), batch func([]Tuple)
 		if data[pos] == FrameMarker {
 			n, err = d.frame(data[pos:], batch)
 		} else {
-			n, err = d.textRun(data[pos:], line)
+			n, err = d.textRun(data[pos:], line, batch)
 		}
 		if err == errShortFrame {
 			break
@@ -409,10 +402,8 @@ func (d *StreamDecoder) Feed(data []byte, line func(string), batch func([]Tuple)
 }
 
 // textRun delivers the run of complete text lines at the head of b, up to
-// the next frame, an unterminated line or the block cap, and returns the
-// bytes consumed. Every line of the run is a substring of one string.
-func (d *StreamDecoder) textRun(b []byte, line func(string)) (int, error) {
-	d.ends = d.ends[:0]
+// the next frame or an unterminated line, and returns the bytes consumed.
+func (d *StreamDecoder) textRun(b []byte, line func(string), batch func([]Tuple)) (int, error) {
 	end := 0
 	var err error
 	for end < len(b) && b[end] != FrameMarker {
@@ -424,32 +415,78 @@ func (d *StreamDecoder) textRun(b []byte, line func(string)) (int, error) {
 			err = errLineTooLong
 			break
 		}
-		if end > 0 && end+nl+1 > lineBlock {
-			break
-		}
+		d.text(b[end:end+nl], line, batch)
 		end += nl + 1
-		d.ends = append(d.ends, end)
 	}
-	if end > 0 {
-		block := string(b[:end])
-		if testHookBlock != nil {
-			testHookBlock(block)
-		}
-		start := 0
-		for _, e := range d.ends {
-			line(trimCR(block[start : e-1]))
-			start = e
-		}
-	}
+	d.flush(batch)
 	return end, err
 }
 
-// trimCR drops one trailing carriage return, so CRLF streams decode as LF.
-func trimCR(ln string) string {
-	if len(ln) > 0 && ln[len(ln)-1] == '\r' {
-		return ln[:len(ln)-1]
+// text handles one text line: a tuple joins the pending batch; any other
+// line first flushes the batch, keeping stream order, then goes to line
+// as a string of its own.
+func (d *StreamDecoder) text(b []byte, line func(string), batch func([]Tuple)) {
+	d.lines++
+	if len(b) > 0 && b[len(b)-1] == '\r' {
+		b = b[:len(b)-1] // CRLF streams decode as LF
 	}
-	return ln
+	ln := unsafe.String(unsafe.SliceData(b), len(b))
+	if t, ok := d.parseLine(ln); ok {
+		d.tup = append(d.tup, t)
+		return
+	}
+	d.flush(batch)
+	line(strings.Clone(ln))
+}
+
+// flush hands the pending tuples to batch.
+func (d *StreamDecoder) flush(batch func([]Tuple)) {
+	if len(d.tup) > 0 {
+		batch(d.tup)
+		d.tup = d.tup[:0]
+	}
+}
+
+// parseLine decodes one tuple line in place. ln points into the fed
+// bytes, so the tuple's name is swapped for the name table's copy. A
+// blank or '#' line is never parsed, so comments build no error.
+//
+//gscope:hotpath
+func (d *StreamDecoder) parseLine(ln string) (t Tuple, ok bool) {
+	if t, ok = parseCanonical(ln); !ok && !IsComment(ln) {
+		var err error
+		t, err = Parse(ln) //gscope:allow hotpath lines off the encoders' shape take Parse's general split, which builds an error only for a line that fails
+		ok = err == nil
+	}
+	if ok {
+		t.Name = d.name(t.Name)
+	}
+	return t, ok
+}
+
+// name returns the decoder's own copy of a name that may point into the
+// fed bytes: the previous name for a run, else the table's copy. A new
+// name is copied once and entered while the table has room and the name
+// is one a DICT frame may declare (ValidateName); otherwise each run of
+// it gets its own copy.
+//
+//gscope:hotpath
+func (d *StreamDecoder) name(s string) string {
+	if s == d.prev {
+		return d.prev
+	}
+	c, ok := d.table[s]
+	if !ok {
+		c = strings.Clone(s) //gscope:allow hotpath a name is copied once into the table; past its cap, once per run
+		if len(d.table) < maxCanonicalNames && ValidateName(c) == nil {
+			if d.table == nil {
+				d.table = make(map[string]string) //gscope:allow hotpath the table is made once per decoder
+			}
+			d.table[c] = c
+		}
+	}
+	d.prev = c
+	return c
 }
 
 func (d *StreamDecoder) fail(err error) error {
@@ -470,11 +507,13 @@ func (d *StreamDecoder) TornFrame() bool {
 }
 
 // Tail finishes the stream: an unterminated trailing text line is still a
-// line (the way bufio.Scanner treats one) and is delivered to line; an
-// incomplete trailing frame is a torn tail and is discarded.
-func (d *StreamDecoder) Tail(line func(string)) {
+// line (the way bufio.Scanner treats one) and is delivered like any other,
+// a tuple to batch and anything else to line; an incomplete trailing
+// frame is a torn tail and is discarded.
+func (d *StreamDecoder) Tail(line func(string), batch func([]Tuple)) {
 	if d.err == nil && len(d.carry) > 0 && d.carry[0] != FrameMarker {
-		line(trimCR(string(d.carry)))
+		d.text(d.carry, line, batch)
+		d.flush(batch)
 	}
 	d.carry = d.carry[:0]
 }
@@ -518,16 +557,21 @@ func (d *StreamDecoder) frame(b []byte, batch func([]Tuple)) (int, error) {
 
 // dict applies one DICT payload. IDs must arrive densely: id == len(dict)
 // appends; id < len(dict) must re-declare the same name (redundant
-// catch-up declarations are legal, WIRE.md §B3); a gap is malformed.
+// catch-up declarations are legal, WIRE.md §B3); a gap is malformed. The
+// name resolves through the name table, whose names are all valid, so a
+// known name costs neither a copy nor a validation.
 func (d *StreamDecoder) dict(payload []byte) error {
 	id, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return fmt.Errorf("%w: bad dict id varint", ErrBadFrame)
 	}
-	name := string(payload[n:])
-	if err := ValidateName(name); err != nil {
-		return fmt.Errorf("%w: dict name: %v", ErrBadFrame, err)
+	raw := unsafe.String(unsafe.SliceData(payload[n:]), len(payload)-n)
+	if _, known := d.table[raw]; !known {
+		if err := ValidateName(raw); err != nil {
+			return fmt.Errorf("%w: dict name: %v", ErrBadFrame, err)
+		}
 	}
+	name := d.name(raw)
 	switch {
 	case id < uint64(len(d.names)):
 		if d.names[id] != name {
@@ -547,7 +591,6 @@ func (d *StreamDecoder) dict(payload []byte) error {
 // data decodes one DATA payload's runs into the scratch batch and hands it
 // to the callback.
 func (d *StreamDecoder) data(payload []byte, batch func([]Tuple)) error {
-	d.tup = d.tup[:0]
 	p := payload
 	for len(p) > 0 {
 		id, n := binary.Uvarint(p)
@@ -599,8 +642,6 @@ func (d *StreamDecoder) data(payload []byte, batch func([]Tuple)) error {
 			d.tup[base+k].Value = math.Float64frombits(prev)
 		}
 	}
-	if len(d.tup) > 0 {
-		batch(d.tup)
-	}
+	d.flush(batch)
 	return nil
 }

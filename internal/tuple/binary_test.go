@@ -154,24 +154,14 @@ func TestStreamDecoderIncremental(t *testing.T) {
 
 	dec := tuple.NewStreamDecoder()
 	var got []tuple.Tuple
-	onLine := func(ln string) {
-		if tuple.IsComment(ln) {
-			return
-		}
-		tu, err := tuple.Parse(ln)
-		if err != nil {
-			t.Fatalf("parse %q: %v", ln, err)
-		}
-		got = append(got, tu)
-	}
+	onLine := func(ln string) { t.Fatalf("line %q is not a tuple", ln) }
+	onTuples := func(ts []tuple.Tuple) { got = append(got, ts...) }
 	for i := range stream {
-		if err := dec.Feed(stream[i:i+1], onLine, func(ts []tuple.Tuple) {
-			got = append(got, ts...)
-		}); err != nil {
+		if err := dec.Feed(stream[i:i+1], onLine, onTuples); err != nil {
 			t.Fatalf("byte %d: %v", i, err)
 		}
 	}
-	dec.Tail(onLine)
+	dec.Tail(onLine, onTuples)
 	if len(got) != len(whole) {
 		t.Fatalf("byte-wise decode yielded %d tuples, whole-stream %d", len(got), len(whole))
 	}
@@ -264,30 +254,49 @@ func TestStreamDecoderErrors(t *testing.T) {
 	}
 }
 
-// An unterminated trailing text line is delivered by Tail; a torn trailing
-// frame is silently discarded (the torn-tail rule for crash recovery).
+// An unterminated trailing text line is delivered by Tail, a tuple to
+// batch and anything else to line; a torn trailing frame is silently
+// discarded (the torn-tail rule for crash recovery).
 func TestStreamDecoderTail(t *testing.T) {
-	dec := tuple.NewStreamDecoder()
-	var lines []string
-	onLine := func(ln string) { lines = append(lines, ln) }
-	if err := dec.Feed([]byte("1 2 a\n3 4 unterminated"), onLine, nil); err != nil {
-		t.Fatal(err)
-	}
-	dec.Tail(onLine)
-	if len(lines) != 2 || lines[1] != "3 4 unterminated" {
-		t.Fatalf("tail line not delivered: %q", lines)
+	for _, tc := range []struct{ stream, tuple, line string }{
+		{"1 2 a\n3 4 unterminated", "3 4 unterminated", ""},
+		{"1 2 a\n# unterminated\r", "", "# unterminated"},
+	} {
+		dec := tuple.NewStreamDecoder()
+		var lines, tuples []string
+		onLine := func(ln string) { lines = append(lines, ln) }
+		onTuples := func(ts []tuple.Tuple) {
+			for _, tu := range ts {
+				tuples = append(tuples, tu.String())
+			}
+		}
+		if err := dec.Feed([]byte(tc.stream), onLine, onTuples); err != nil {
+			t.Fatal(err)
+		}
+		if len(tuples) != 1 || len(lines) != 0 {
+			t.Fatalf("%q: Feed delivered tuples %q, lines %q", tc.stream, tuples, lines)
+		}
+		dec.Tail(onLine, onTuples)
+		if tc.tuple != "" && (len(tuples) != 2 || tuples[1] != tc.tuple || len(lines) != 0) {
+			t.Fatalf("%q: tail tuple not delivered: tuples %q, lines %q", tc.stream, tuples, lines)
+		}
+		if tc.line != "" && (len(tuples) != 1 || len(lines) != 1 || lines[0] != tc.line) {
+			t.Fatalf("%q: tail line not delivered: tuples %q, lines %q", tc.stream, tuples, lines)
+		}
 	}
 
 	enc := tuple.NewBinaryEncoder()
 	stream := enc.AppendBatch(nil, sampleBatch())
-	dec = tuple.NewStreamDecoder()
+	dec := tuple.NewStreamDecoder()
 	var tuples int
 	if err := dec.Feed(stream[:len(stream)-3], func(string) {}, func(ts []tuple.Tuple) {
 		tuples += len(ts)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	dec.Tail(func(ln string) { t.Fatalf("torn frame surfaced as text line %q", ln) })
+	dec.Tail(func(ln string) { t.Fatalf("torn frame surfaced as text line %q", ln) }, func([]tuple.Tuple) {
+		t.Fatal("torn frame surfaced as a tuple")
+	})
 	if tuples != 0 {
 		t.Fatalf("torn frame yielded %d tuples", tuples)
 	}
@@ -319,7 +328,11 @@ func TestStreamDecoderSkipsUnknownFrames(t *testing.T) {
 	stream = append(stream, "5 6 after\n"...)
 	var got []string
 	dec := tuple.NewStreamDecoder()
-	if err := dec.Feed(stream, func(ln string) { got = append(got, ln) }, nil); err != nil {
+	if err := dec.Feed(stream, func(ln string) { t.Fatalf("line %q", ln) }, func(ts []tuple.Tuple) {
+		for _, tu := range ts {
+			got = append(got, tu.String())
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != "5 6 after" {

@@ -1,23 +1,24 @@
 package tuple_test
 
-// StreamDecoder hands out text lines as substrings of one string per
-// 32 KiB block, so any name or field a consumer keeps must be detached
-// from its block. These tests record every block the decoders convert
-// (through the package's test hook, which also keeps the blocks alive so
-// their memory cannot be reused) and check, by address range, that no
-// kept string points into one — on every path that keeps names: the
-// hub's publisher ingest (past the interner cap too), a Subscriber's
-// tuples and control frames, the datagram receiver and StreamReader.
+// StreamDecoder parses text lines in place on the bytes it is fed, which
+// every transport reuses for its next read. So every name and field a
+// consumer keeps must be the decoder's own copy, never a view of the read
+// buffer. These tests keep each string a path delivers next to a copy
+// taken at delivery, push more traffic through the same buffer, and check
+// that no kept string changed — on every path that keeps names: the
+// decoder itself (text lines, DICT frames, past the name-table cap too),
+// StreamReader, the hub's publisher ingest, a Subscriber's tuples and
+// control frames, and the datagram receiver.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/dgram"
 	"repro/internal/glib"
@@ -26,56 +27,52 @@ import (
 	"repro/internal/tuple"
 )
 
-// blockRecorder collects the line blocks decoders convert.
-type blockRecorder struct {
-	mu     sync.Mutex
-	blocks []string
+// keeper holds delivered strings next to copies taken on delivery.
+type keeper struct {
+	mu         sync.Mutex
+	kept, want []string
 }
 
-func recordBlocks(t *testing.T) *blockRecorder {
-	r := &blockRecorder{}
-	t.Cleanup(tuple.SetBlockSink(func(b string) {
-		r.mu.Lock()
-		r.blocks = append(r.blocks, b)
-		r.mu.Unlock()
-	}))
-	return r
-}
-
-// pinned reports whether s points into a recorded block.
-func (r *blockRecorder) pinned(s string) bool {
-	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, b := range r.blocks {
-		lo := uintptr(unsafe.Pointer(unsafe.StringData(b)))
-		if p >= lo && p < lo+uintptr(len(b)) {
-			return true
-		}
+func (k *keeper) add(ss ...string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for _, s := range ss {
+		k.kept = append(k.kept, s)
+		k.want = append(k.want, strings.Clone(s))
 	}
-	return false
 }
 
-// check fails if no block was decoded (the path under test never saw
-// text) or if any kept string points into one.
-func (r *blockRecorder) check(t *testing.T, kept []string) {
+func (k *keeper) addNames(ts []tuple.Tuple) {
+	for _, t := range ts {
+		k.add(t.Name)
+	}
+}
+
+func (k *keeper) len() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return len(k.kept)
+}
+
+// check fails if fewer than n strings were kept or any kept string no
+// longer reads as it did when it was delivered.
+func (k *keeper) check(t *testing.T, n int) {
 	t.Helper()
-	r.mu.Lock()
-	n := len(r.blocks)
-	r.mu.Unlock()
-	if n == 0 {
-		t.Fatal("no text block was decoded")
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if len(k.kept) < n {
+		t.Fatalf("kept %d strings, want at least %d", len(k.kept), n)
 	}
-	for _, s := range kept {
-		if r.pinned(s) {
-			t.Fatalf("kept string %q points into a decode block", s)
+	for i := range k.kept {
+		if k.kept[i] != k.want[i] {
+			t.Fatalf("kept string %d changed from %q to %q after its buffer was reused", i, k.want[i], k.kept[i])
 		}
 	}
 }
 
 // manyNames is a text stream of runs of a few signals followed by one
-// tuple each of more distinct names than an interner canonicalizes, so
-// the tail of the stream exercises the copy taken past the cap.
+// tuple each of more distinct names than a name table holds, so the tail
+// of the stream exercises the copy taken past the cap.
 func manyNames() (stream []byte, tuples int) {
 	for i := 0; i < 300; i++ {
 		stream = fmt.Appendf(stream, "%d %d cwnd\n%d %d rtt\n", i, i, i, i)
@@ -86,51 +83,61 @@ func manyNames() (stream []byte, tuples int) {
 	return stream, 600 + tuple.MaxCanonicalNames + 20
 }
 
-func names(ts []tuple.Tuple) []string {
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.Name
-	}
-	return out
+// overwrite is traffic of the same shape with every name changed, fed
+// four times over so it rewrites every byte of a reused read buffer.
+func overwrite() (stream []byte, tuples int) {
+	s, n := manyNames()
+	return bytes.Repeat(bytes.ToUpper(s), 4), 4 * n
 }
 
-// TestDetachDecoderLines is the recorder's positive control: the lines
-// Feed hands out do point into blocks, and CanonicalizeNames detaches
-// the names parsed from them, past the cap included.
+// scribble overwrites b in place with bytes no kept name contains.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = '~'
+	}
+}
+
+// TestDetachDecoderLines feeds text, a comment and binary frames, split so
+// lines are carried across reads, then overwrites everything fed.
 func TestDetachDecoderLines(t *testing.T) {
-	rec := recordBlocks(t)
-	stream, want := manyNames()
-	var lines []string
-	var ts []tuple.Tuple
+	text, want := manyNames()
+	enc := tuple.NewBinaryEncoder()
+	stream := append(bytes.Clone(text), "# a comment\n"...)
+	stream = enc.AppendBatch(stream, []tuple.Tuple{{Time: 1, Value: 2, Name: "dict.a"}, {Time: 2, Value: 3, Name: "dict.b"}})
+	want += 2
+	var k keeper
 	dec := tuple.NewStreamDecoder()
-	err := dec.Feed(stream, func(ln string) {
-		lines = append(lines, ln)
-		tu, err := tuple.Parse(ln)
-		if err != nil {
+	line := func(ln string) { k.add(ln) }
+	for off := 0; off < len(stream); off += 4000 {
+		chunk := bytes.Clone(stream[off:min(off+4000, len(stream))])
+		if err := dec.Feed(chunk, line, k.addNames); err != nil {
 			t.Fatal(err)
 		}
-		ts = append(ts, tu)
-	}, func([]tuple.Tuple) {})
-	if err != nil {
-		t.Fatal(err)
+		scribble(chunk)
 	}
-	if len(ts) != want {
-		t.Fatalf("decoded %d tuples, want %d", len(ts), want)
-	}
-	for _, ln := range lines {
-		if !rec.pinned(ln) {
-			t.Fatalf("line %q is not in a recorded block", ln)
-		}
-	}
-	tuple.NewInterner().CanonicalizeNames(ts)
-	rec.check(t, names(ts))
+	dec.Tail(line, k.addNames)
+	k.check(t, want+1)
+}
+
+// scribbleReader serves a stream and overwrites the caller's buffer from
+// its previous Read before serving the next one.
+type scribbleReader struct {
+	r    io.Reader
+	last []byte
+}
+
+func (s *scribbleReader) Read(p []byte) (int, error) {
+	scribble(s.last)
+	n, err := s.r.Read(p)
+	s.last = p[:n]
+	return n, err
 }
 
 func TestDetachStreamReader(t *testing.T) {
-	rec := recordBlocks(t)
 	stream, want := manyNames()
-	sr := tuple.NewStreamReader(bytes.NewReader(stream))
-	var ts []tuple.Tuple
+	src := &scribbleReader{r: bytes.NewReader(stream)}
+	sr := tuple.NewStreamReader(src)
+	var k keeper
 	for {
 		tu, err := sr.Read()
 		if err == io.EOF {
@@ -139,12 +146,10 @@ func TestDetachStreamReader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts = append(ts, tu)
+		k.add(tu.Name)
 	}
-	if len(ts) != want {
-		t.Fatalf("read %d tuples, want %d", len(ts), want)
-	}
-	rec.check(t, names(ts))
+	scribble(src.last)
+	k.check(t, want)
 }
 
 // hubRig starts a hub with publisher and subscriber listeners on a
@@ -165,62 +170,64 @@ func hubRig(t *testing.T) (*glib.Loop, *netscope.Server, string, string) {
 	return loop, srv, pub.String(), sub.String()
 }
 
-func publish(t *testing.T, addr string, stream []byte) {
+// publishTwice writes stream, pumps until delivered reaches first, then
+// writes over on the same connection and pumps until it reaches total.
+func publishTwice(t *testing.T, loop *glib.Loop, addr string, delivered func() int, first, total int) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(stream); err != nil {
-		t.Fatal(err)
+	stream, _ := manyNames()
+	over, _ := overwrite()
+	for _, step := range []struct {
+		b    []byte
+		upTo int
+	}{{stream, first}, {over, total}} {
+		if _, err := conn.Write(step.b); err != nil {
+			t.Fatal(err)
+		}
+		testutil.PumpUntil(t, "delivery", func() { loop.Iterate() }, func() bool { return delivered() >= step.upTo })
 	}
 }
 
 func TestDetachHubIngest(t *testing.T) {
-	rec := recordBlocks(t)
 	loop, srv, pubAddr, _ := hubRig(t)
-	var kept []string
-	srv.OnTuple = func(tu tuple.Tuple) { kept = append(kept, tu.Name) }
-	stream, want := manyNames()
-	publish(t, pubAddr, stream)
-	testutil.PumpUntil(t, "hub ingest", func() { loop.Iterate() }, func() bool { return len(kept) >= want })
-	rec.check(t, kept)
+	var k keeper
+	srv.OnTuple = func(tu tuple.Tuple) { k.add(tu.Name) }
+	_, want := manyNames()
+	_, more := overwrite()
+	publishTwice(t, loop, pubAddr, k.len, want, want+more)
+	k.check(t, want+more)
 }
 
 func TestDetachSubscriber(t *testing.T) {
-	rec := recordBlocks(t)
 	loop, _, pubAddr, subAddr := hubRig(t)
-	var kept []string
+	var k keeper
 	got := 0
 	sub, err := netscope.SubscribeToBatch(loop, subAddr, func(batch []tuple.Tuple) {
 		got += len(batch)
-		kept = append(kept, names(batch)...)
+		k.addNames(batch)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
 	sub.OnControl(func(f tuple.ControlFrame) {
-		kept = append(kept, f.Verb)
-		kept = append(kept, f.Fields...)
+		k.add(f.Verb)
+		k.add(f.Fields...)
 	})
 	testutil.PumpUntil(t, "subscriber handshake", func() { loop.Iterate() }, sub.Handshaken)
-	stream, want := manyNames()
-	publish(t, pubAddr, stream)
-	testutil.PumpUntil(t, "subscriber delivery", func() { loop.Iterate() }, func() bool { return got >= want })
-	rec.check(t, kept)
+	_, want := manyNames()
+	_, more := overwrite()
+	publishTwice(t, loop, pubAddr, func() int { return got }, want, want+more)
+	k.check(t, want+more)
 }
 
 func TestDetachDatagramReceiver(t *testing.T) {
-	rec := recordBlocks(t)
-	var mu sync.Mutex
-	var kept []string
-	r, err := dgram.Listen("127.0.0.1:0", func(batch []tuple.Tuple) {
-		mu.Lock()
-		kept = append(kept, names(batch)...)
-		mu.Unlock()
-	}, dgram.Options{})
+	var k keeper
+	r, err := dgram.Listen("127.0.0.1:0", k.addNames, dgram.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +240,8 @@ func TestDetachDatagramReceiver(t *testing.T) {
 	// Text lines are a legal datagram payload (the §B1 fallback lane).
 	// Datagrams carry whole lines: header, then at most ~16 KiB of them.
 	stream, want := manyNames()
+	over, more := overwrite()
+	stream = append(stream, over...)
 	for seq := byte(0); len(stream) > 0; seq++ {
 		n := bytes.LastIndexByte(stream[:min(len(stream), 16<<10)], '\n') + 1
 		pkt := append([]byte{dgram.Magic, dgram.Version, dgram.TypeData, 1, 1, seq}, stream[:n]...)
@@ -244,41 +253,30 @@ func TestDetachDatagramReceiver(t *testing.T) {
 			return r.Stats().Released > int64(seq)
 		})
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(kept) != want {
-		t.Fatalf("released %d tuples, want %d", len(kept), want)
-	}
-	rec.check(t, kept)
+	k.check(t, want+more)
 }
 
-// TestStreamDecoderBlockAllocs: one Feed of a 64 KiB read of canonical
-// lines costs one allocation per ≤32 KiB block, not one per line.
+// TestStreamDecoderBlockAllocs: once its name table is warm, a decoder
+// parses a 64 KiB read of canonical tuple lines without allocating.
 func TestStreamDecoderBlockAllocs(t *testing.T) {
 	var chunk []byte
 	for i := 0; len(chunk) < 64<<10-64; i++ {
 		chunk = fmt.Appendf(chunk, "%d %d.25 net.flow%d.cwnd\n", 60000+2*i, 1000000+i, i%4)
 	}
 	dec := tuple.NewStreamDecoder()
-	out := make([]tuple.Tuple, 0, 4096)
-	line := func(ln string) {
-		tu, err := tuple.Parse(ln)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, tu)
-	}
-	batch := func([]tuple.Tuple) {}
+	n := 0
+	line := func(ln string) { t.Fatalf("line %q is not a tuple", ln) }
+	batch := func(ts []tuple.Tuple) { n += len(ts) }
 	allocs := testing.AllocsPerRun(20, func() {
-		out = out[:0]
+		n = 0
 		if err := dec.Feed(chunk, line, batch); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if len(out) < 2000 {
-		t.Fatalf("decoded %d lines", len(out))
+	if n < 2000 {
+		t.Fatalf("decoded %d tuples", n)
 	}
-	if allocs > 3 {
-		t.Fatalf("Feed of %d bytes (%d lines) allocated %.0f times, want ≤ 3", len(chunk), len(out), allocs)
+	if allocs != 0 {
+		t.Fatalf("Feed of %d bytes (%d tuples) allocated %.0f times, want 0", len(chunk), n, allocs)
 	}
 }

@@ -95,28 +95,22 @@ func FuzzWireV3Differential(f *testing.F) {
 		dec := tuple.NewStreamDecoder()
 		var rechunked []tuple.Tuple
 		onLine := func(ln string) {
-			if tuple.IsComment(ln) {
-				return
+			if !tuple.IsComment(ln) {
+				t.Fatalf("line %q is not a tuple", ln)
 			}
-			tu, err := tuple.Parse(ln)
-			if err != nil {
-				t.Fatalf("parse %q: %v", ln, err)
-			}
-			rechunked = append(rechunked, tu)
 		}
+		onTuples := func(b []tuple.Tuple) { rechunked = append(rechunked, b...) }
 		step := 1 + src.Intn(7)
 		for off := 0; off < len(mixed); off += step {
 			end := off + step
 			if end > len(mixed) {
 				end = len(mixed)
 			}
-			if err := dec.Feed(mixed[off:end], onLine, func(b []tuple.Tuple) {
-				rechunked = append(rechunked, b...)
-			}); err != nil {
+			if err := dec.Feed(mixed[off:end], onLine, onTuples); err != nil {
 				t.Fatalf("incremental decode: %v", err)
 			}
 		}
-		dec.Tail(onLine)
+		dec.Tail(onLine, onTuples)
 		if len(rechunked) != len(ts) {
 			t.Fatalf("incremental decode yielded %d tuples, want %d", len(rechunked), len(ts))
 		}
@@ -150,7 +144,7 @@ func FuzzBinaryStream(f *testing.F) {
 			}
 			return
 		}
-		dec.Tail(func(string) {})
+		dec.Tail(func(string) {}, func(b []tuple.Tuple) { decoded = append(decoded, b...) })
 		// Whatever decoded must survive a binary re-encode round trip.
 		if len(decoded) > 0 {
 			enc := tuple.NewBinaryEncoder()

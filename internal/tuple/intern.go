@@ -25,9 +25,9 @@ const NoSignal SignalID = -1
 //   - Intern validates once (ValidateName) and is idempotent — the probe
 //     registration step.
 //   - Canonical maps any equal string to the interned instance, and
-//     CanonicalizeNames does so for a batch, letting a decoder drop its
-//     line blocks instead of pinning them in long-lived queues and
-//     histories.
+//     CanonicalizeNames does so for a batch, so tuples of one signal
+//     from many sources (a hub's publisher connections, its injectors)
+//     share one name in long-lived queues and histories.
 //
 // An Interner is safe for concurrent use. Interned names are never
 // released; Canonical stops interning at 4096 names, and callers of
@@ -111,15 +111,13 @@ func (in *Interner) Canonical(name string) string {
 			return in.Name(id)
 		}
 	}
-	return strings.Clone(name) //gscope:allow hotpath past the name cap the name is copied so it pins no decode block
+	return strings.Clone(name) //gscope:allow hotpath past the name cap the name is copied so it pins no caller's buffer
 }
 
-// CanonicalizeNames rewrites each tuple's name to its Canonical instance.
-// Decoded names are substrings of their input — a StreamDecoder line
-// shares one string with its whole 32 KiB block — so a kept tuple
-// (snapshot history, feed backlogs, recorder queues, a viewer's signal
-// map) would pin that block. Interning makes every tuple of one signal
-// share a single canonical string and the decode blocks die young.
+// CanonicalizeNames rewrites each tuple's name to its Canonical instance,
+// so every tuple of one signal shares a single string whichever
+// connection or caller it came from (each StreamDecoder keeps its own
+// name table, so names from different streams are equal, not shared).
 // Batches are overwhelmingly runs of one signal, so after the first tuple
 // of a run the rewrite is a string compare; past the cap each run gets
 // its own copy.

@@ -14,23 +14,21 @@ import (
 // ErrBadFrame, and every subsequent Read repeats it — for an append-only
 // file either one means the readable prefix has ended (a torn tail). An
 // unterminated trailing text line is still decoded; a torn trailing frame
-// is not. Names are interned per reader, so a caller may keep the tuples
-// it reads without pinning decode blocks.
+// is not. Names come from the decoder's name table, so a caller may keep
+// the tuples it reads.
 type StreamReader struct {
-	r     io.Reader
-	dec   StreamDecoder
-	names *Interner
-	buf   []byte
-	out   []Tuple
-	pos   int
-	line  int // text lines seen, for error messages
-	pend  error
-	done  bool
+	r    io.Reader
+	dec  StreamDecoder
+	buf  []byte
+	out  []Tuple
+	pos  int
+	pend error
+	done bool
 }
 
 // NewStreamReader returns a reader decoding tuples from r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{r: r, names: NewInterner(), buf: make([]byte, 64*1024)}
+	return &StreamReader{r: r, buf: make([]byte, 64*1024)}
 }
 
 // Read returns the next tuple, io.EOF at a clean end of stream, or the
@@ -58,30 +56,22 @@ func (s *StreamReader) Read() (Tuple, error) {
 			s.done = true
 			if err == io.EOF {
 				if s.pend == nil {
-					s.dec.Tail(s.onLine)
+					s.dec.Tail(s.onLine, s.onBatch)
 				}
 			} else if s.pend == nil {
 				s.pend = err
 			}
 		}
-		s.names.CanonicalizeNames(s.out)
 	}
 }
 
+// onLine sees the lines that are not tuples: comments, skipped, and bad
+// lines, which end the stream.
 func (s *StreamReader) onLine(ln string) {
-	if s.pend != nil {
+	if s.pend != nil || IsComment(ln) {
 		return
 	}
-	s.line++
-	if IsComment(ln) {
-		return
-	}
-	t, err := Parse(ln)
-	if err != nil {
-		s.pend = fmt.Errorf("line %d: %w: %w", s.line, ErrBadLine, err)
-		return
-	}
-	s.out = append(s.out, t)
+	s.pend = fmt.Errorf("line %d: %w: %q", s.dec.lines, ErrBadLine, ln)
 }
 
 func (s *StreamReader) onBatch(ts []Tuple) {

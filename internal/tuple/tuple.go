@@ -295,6 +295,8 @@ func Parse(line string) (Tuple, error) {
 
 // IsComment reports whether a line is blank or a '#' comment, both of which
 // readers skip.
+//
+//gscope:hotpath
 func IsComment(line string) bool {
 	s := strings.TrimSpace(line)
 	return s == "" || strings.HasPrefix(s, "#")
