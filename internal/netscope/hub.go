@@ -1452,12 +1452,16 @@ func SubscribeToBatch(loop *glib.Loop, addr string, fn func([]tuple.Tuple), opts
 	}
 	onTuples := func(ts []tuple.Tuple) {
 		n := len(batch)
-		for _, t := range ts {
+		if sub.clientFilter == nil || sub.acked.Load() {
+			batch = append(batch, ts...)
+		} else {
 			// Tuples broadcast before the server applied our request
 			// (the handshake race) are outside the subscription; the
 			// filter holds client-side until the ack.
-			if sub.acked.Load() || sub.clientFilter.match(t.Name) {
-				batch = append(batch, t)
+			for _, t := range ts {
+				if sub.clientFilter.match(t.Name) {
+					batch = append(batch, t)
+				}
 			}
 		}
 		count(int64(len(batch) - n))

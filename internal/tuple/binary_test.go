@@ -313,8 +313,14 @@ func TestStreamReaderBadLine(t *testing.T) {
 	if _, err := sr.Read(); err != nil {
 		t.Fatalf("first tuple: %v", err)
 	}
-	if _, err := sr.Read(); !errors.Is(err, tuple.ErrBadLine) {
+	_, err := sr.Read()
+	if !errors.Is(err, tuple.ErrBadLine) {
 		t.Fatalf("got %v, want ErrBadLine", err)
+	}
+	// The error names the text line and carries Parse's reason.
+	_, reason := tuple.Parse("not a tuple at all")
+	if msg := err.Error(); !strings.HasPrefix(msg, "line 1: ") || !strings.HasSuffix(msg, reason.Error()) {
+		t.Fatalf("error %q lacks the line number or Parse's reason %q", msg, reason)
 	}
 	if _, err := sr.Read(); !errors.Is(err, tuple.ErrBadLine) {
 		t.Fatalf("error not sticky: %v", err)

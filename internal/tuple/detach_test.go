@@ -54,15 +54,22 @@ func (k *keeper) len() int {
 	return len(k.kept)
 }
 
-// check fails if fewer than n strings were kept or any kept string no
-// longer reads as it did when it was delivered.
+// check fails unless exactly n strings were kept, each still reading as
+// it did when it was delivered.
 func (k *keeper) check(t *testing.T, n int) {
+	t.Helper()
+	if got := k.len(); got != n {
+		t.Fatalf("kept %d strings, want %d", got, n)
+	}
+	k.unchanged(t)
+}
+
+// unchanged fails if any kept string no longer reads as it did when it
+// was delivered.
+func (k *keeper) unchanged(t *testing.T) {
 	t.Helper()
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if len(k.kept) < n {
-		t.Fatalf("kept %d strings, want at least %d", len(k.kept), n)
-	}
 	for i := range k.kept {
 		if k.kept[i] != k.want[i] {
 			t.Fatalf("kept string %d changed from %q to %q after its buffer was reused", i, k.want[i], k.kept[i])
@@ -204,25 +211,25 @@ func TestDetachHubIngest(t *testing.T) {
 
 func TestDetachSubscriber(t *testing.T) {
 	loop, _, pubAddr, subAddr := hubRig(t)
-	var k keeper
-	got := 0
-	sub, err := netscope.SubscribeToBatch(loop, subAddr, func(batch []tuple.Tuple) {
-		got += len(batch)
-		k.addNames(batch)
-	})
+	var k, ctl keeper
+	sub, err := netscope.SubscribeToBatch(loop, subAddr, k.addNames)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
 	sub.OnControl(func(f tuple.ControlFrame) {
-		k.add(f.Verb)
-		k.add(f.Fields...)
+		ctl.add(f.Verb)
+		ctl.add(f.Fields...)
 	})
 	testutil.PumpUntil(t, "subscriber handshake", func() { loop.Iterate() }, sub.Handshaken)
 	_, want := manyNames()
 	_, more := overwrite()
-	publishTwice(t, loop, pubAddr, func() int { return got }, want, want+more)
+	publishTwice(t, loop, pubAddr, k.len, want, want+more)
 	k.check(t, want+more)
+	if ctl.len() == 0 {
+		t.Fatal("no control frame was delivered")
+	}
+	ctl.unchanged(t)
 }
 
 func TestDetachDatagramReceiver(t *testing.T) {

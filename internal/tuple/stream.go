@@ -71,7 +71,8 @@ func (s *StreamReader) onLine(ln string) {
 	if s.pend != nil || IsComment(ln) {
 		return
 	}
-	s.pend = fmt.Errorf("line %d: %w: %q", s.dec.lines, ErrBadLine, ln)
+	_, err := Parse(ln) // cold: recover the reason the decoder passed it on
+	s.pend = fmt.Errorf("line %d: %w: %w", s.dec.lines, ErrBadLine, err)
 }
 
 func (s *StreamReader) onBatch(ts []Tuple) {

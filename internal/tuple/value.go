@@ -310,35 +310,27 @@ func parseValue(s string) (float64, error) {
 		i++
 	}
 	start := i
-	for i < n && s[i] == '0' {
-		i++ // leading zeros are not significant
-	}
-	sig := i
 	var m uint64
-	for ; i < n && s[i]-'0' < 10; i++ {
-		m = m*10 + uint64(s[i]-'0')
-	}
-	digits, frac := i-sig, 0
-	if i < n && s[i] == '.' {
-		if i == start || i == n-1 {
+	digits, frac, point := 0, 0, -1
+	for ; i < n; i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9':
+			if m != 0 || c != '0' {
+				if digits++; digits > maxParseDigits {
+					return strconv.ParseFloat(s, 64)
+				}
+			}
+			m = m*10 + uint64(c-'0')
+			if point >= 0 {
+				frac++
+			}
+		case c == '.' && point < 0:
+			point = i
+		default:
 			return strconv.ParseFloat(s, 64)
 		}
-		i++
-		point := i
-		if digits == 0 {
-			for i < n && s[i] == '0' {
-				i++
-			}
-			sig = i
-		}
-		for ; i < n && s[i]-'0' < 10; i++ {
-			m = m*10 + uint64(s[i]-'0')
-		}
-		frac = i - point
-		digits += i - max(sig, point)
 	}
-	// m has wrapped when digits > maxParseDigits, which strconv takes.
-	if i != n || i == start || digits > maxParseDigits {
+	if n == start || point == start || point == n-1 {
 		return strconv.ParseFloat(s, 64)
 	}
 	var v float64
